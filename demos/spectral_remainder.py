@@ -31,7 +31,7 @@ print("  -zeta(1/2)        = %.10f  (delta(x)/f(x) limit)" % ctx.target_delta_ra
 print("  pi^-D * -zeta(D)  = %.10f  ((phi-N)/f(sqrt(lambda)) limit)" % ctx.target_remainder)
 
 derived = make_derived(power_log(0.5), 0.5)
-records = second_term_probe(s, derived, 1.0, np.geomspace(1e4, 1e10, 13))
+records = second_term_probe(s, derived, np.geomspace(1e4, 1e10, 13))
 print("\n  lambda        delta(x)/f(x)   (phi-N)/f(sqrt(lambda))")
 for r in records:
     print("  %.3e   %.6f        %.6f" % (r.lam, r.delta_ratio, r.remainder_ratio))

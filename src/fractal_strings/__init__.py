@@ -5,8 +5,8 @@ generalized contents, Dirichlet spectra, and a joint verification harness.
 
 from .errors import ConstructionError, DomainError, EvaluationError, NumericError
 from .gauge import (DerivedFunctions, GaugeFunction, check_H1, check_H2,
-                    check_H3, custom_gauge, elasticity, eval_dh, eval_h,
-                    gauge_from_json, gauge_to_json, make_derived, power_log)
+                    check_H3, custom_gauge, gauge_from_json, gauge_to_json,
+                    make_derived, power_log)
 from .geometry import (ContentEstimate, ScaleGrid, boundary_count,
                        cantor_grid, dimension_estimate, minkowski_estimate,
                        s_estimate, tube_volume)
@@ -21,8 +21,7 @@ from .spectral import (SpectralRecord, ZetaContext, eigen_count, eta,
                        weyl_term, zeta, zeta_from_wk)
 from .strings import (AnalyticString, ExplicitString, FractalString,
                       RunLengthString, make_a_string, make_cantor,
-                      make_interval, make_profile, string_from_json,
-                      string_to_json)
+                      make_interval, make_profile, string_from_json)
 
 __version__ = "0.1.0"
 
@@ -34,12 +33,11 @@ __all__ = [
     "ScaleGrid", "SpectralRecord", "VerificationReport", "ZetaContext",
     "boundary_count", "bundled_examples", "cantor_grid", "check_H1",
     "check_H2", "check_H3", "classify_ratio", "custom_gauge",
-    "dimension_estimate", "eigen_count", "elasticity", "eta", "eval_dh",
-    "eval_h", "extract_representation", "gauge_from_json", "gauge_to_json",
-    "karamata_direct", "make_a_string", "make_cantor", "make_derived",
-    "make_interval", "make_profile", "minkowski_estimate", "packing_defect",
-    "power_log", "records_to_csv", "remainder_identity_check", "rv_defect",
-    "run_verify", "s_estimate", "second_term_probe", "string_from_json",
-    "string_to_json", "tail_sum_rv", "tube_volume", "w_k", "weyl_term",
-    "zeta", "zeta_from_wk",
+    "dimension_estimate", "eigen_count", "eta", "extract_representation",
+    "gauge_from_json", "gauge_to_json", "karamata_direct", "make_a_string",
+    "make_cantor", "make_derived", "make_interval", "make_profile",
+    "minkowski_estimate", "packing_defect", "power_log", "records_to_csv",
+    "remainder_identity_check", "rv_defect", "run_verify", "s_estimate",
+    "second_term_probe", "string_from_json", "tail_sum_rv", "tube_volume",
+    "w_k", "weyl_term", "zeta", "zeta_from_wk",
 ]

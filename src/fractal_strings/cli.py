@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .gauge import gauge_from_json, make_derived
-from .geometry import ScaleGrid, minkowski_estimate, s_estimate
+from .geometry import DEFAULT_BAND, ScaleGrid, minkowski_estimate, s_estimate
 from .harness import ExperimentConfig, bundled_examples, run_verify
 from .spectral import (ZetaContext, records_to_csv, second_term_probe, w_k,
                        zeta, zeta_from_wk)
@@ -79,11 +79,10 @@ def cmd_spectrum(args) -> int:
     string = string_from_json(spec["string"])
     gauge = gauge_from_json(spec["gauge"])
     derived = make_derived(gauge, float(spec["D"]))
-    L = float(spec.get("L") or 1.0)
     if args.lmax <= args.lmin or args.lmin <= 0:
         _fail(2, "need 0 < lmin < lmax")
     lams = np.geomspace(args.lmin, args.lmax, args.steps)
-    records = second_term_probe(string, derived, L, lams)
+    records = second_term_probe(string, derived, lams)
     if args.format == "csv":
         out = records_to_csv(records)
         if args.out:
@@ -101,11 +100,13 @@ def cmd_content(args) -> int:
     string = string_from_json(spec["string"])
     gauge = gauge_from_json(spec["gauge"])
     grids = spec.get("grids", {})
-    grid = ScaleGrid.geometric(float(grids.get("eps0", 2.0 ** -10)),
-                               float(grids.get("q", 0.5)),
-                               int(grids.get("n", 31)))
-    mink = minkowski_estimate(string, gauge, grid)
-    sest = s_estimate(string, gauge, grid)
+    # the defaults of ExperimentConfig's fields are its class attributes
+    grid = ScaleGrid.geometric(float(grids.get("eps0", ExperimentConfig.eps0)),
+                               float(grids.get("q", ExperimentConfig.eps_ratio)),
+                               int(grids.get("n", ExperimentConfig.eps_n)))
+    band = float(spec.get("band", DEFAULT_BAND))
+    mink = minkowski_estimate(string, gauge, grid, band=band)
+    sest = s_estimate(string, gauge, grid, band=band)
     _emit({"minkowski": mink.to_json(), "s": sest.to_json()}, args.out)
     return 0
 

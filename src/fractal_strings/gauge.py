@@ -12,6 +12,7 @@ evaluators are supported through the custom form.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -155,20 +156,6 @@ def custom_gauge(h: Callable, index: float, domain_upper: float, dh: Optional[Ca
                          h_fn=h, dh_fn=dh)
 
 
-# convenience wrappers matching the functional style used elsewhere
-
-def eval_h(gauge: GaugeFunction, y):
-    return gauge.h(y)
-
-
-def eval_dh(gauge: GaugeFunction, y):
-    return gauge.dh(y)
-
-
-def elasticity(gauge: GaugeFunction, y):
-    return gauge.elasticity(y)
-
-
 # -- derived functions H, H^-1, f, g ---------------------------------------
 
 
@@ -192,7 +179,9 @@ class DerivedFunctions:
         return self.y1 / self.gauge.h(self.y1)
 
     def H_inv(self, z):
-        """Invert H on (0, y1] by geometric bisection (closed form for pure powers)."""
+        """Invert H on (0, y1]: closed form for pure powers, Newton in log
+        coordinates for power-log gauges (geometric bisection if Newton does
+        not settle), geometric bisection for custom gauges."""
         scalar = np.isscalar(z)
         zz = np.atleast_1d(np.asarray(z, dtype=float))
         z_max = self.H_at_y1()
@@ -339,20 +328,37 @@ def check_H1(gauge: GaugeFunction, y_grid: Optional[np.ndarray] = None) -> Condi
     })
 
 
-def check_H2(gauge: GaugeFunction, t_grid: np.ndarray, y_grid: np.ndarray) -> ConditionReport:
-    """Worst homogeneity defect sup_t |h(ty)/h(y) - t**rho| per scale."""
+def rv_defect(h, rho: float, t_grid, y_grid) -> np.ndarray:
+    """Per-scale worst defect sup_t |h(ty)/h(y) - t**rho|.
+
+    ``h`` is a GaugeFunction, whose domain bounds the usable t, or a bare
+    callable.  A trend to 0 along y_grid (decreasing to 0) is numeric
+    evidence that h is regularly varying with index rho.
+    """
+    if isinstance(h, GaugeFunction):
+        fn, upper = h.h, h.domain_upper
+    else:
+        fn, upper = h, None
     ts = np.asarray(t_grid, dtype=float)
     ys = np.asarray(y_grid, dtype=float)
     if ts.size == 0 or ys.size == 0:
         raise ValueError("empty grid")
-    ys = np.sort(ys)[::-1]  # decreasing toward 0
-    defects = np.empty(ys.size)
+    out = np.empty(ys.size)
     for i, y in enumerate(ys):
-        usable = ts[ts * y <= gauge.domain_upper]
+        usable = ts if upper is None else ts[ts * y <= upper]
+        if usable.size < ts.size:
+            warnings.warn("rv_defect: skipped t values outside the domain")
         if usable.size == 0:
-            raise ValueError("no usable t values at y = %g" % y)
-        ratio = np.atleast_1d(gauge.h(usable * y)) / gauge.h(y)
-        defects[i] = np.max(np.abs(ratio - usable ** gauge.index))
+            raise ValueError("all t values leave the domain at y = %g" % y)
+        ratio = np.atleast_1d(fn(usable * y)) / fn(y)
+        out[i] = float(np.max(np.abs(ratio - usable ** rho)))
+    return out
+
+
+def check_H2(gauge: GaugeFunction, t_grid: np.ndarray, y_grid: np.ndarray) -> ConditionReport:
+    """Worst homogeneity defect sup_t |h(ty)/h(y) - t**rho| per scale."""
+    ys = np.sort(np.asarray(y_grid, dtype=float))[::-1]  # decreasing toward 0
+    defects = rv_defect(gauge, gauge.index, t_grid, ys)
     ok = defects[-1] <= defects[0] + 1e-12
     return ConditionReport("H2", ok, float(defects.max()), {
         "defect_per_scale": defects, "y_grid": ys,

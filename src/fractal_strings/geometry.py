@@ -48,12 +48,9 @@ class ScaleGrid:
 
     @classmethod
     def geometric(cls, start: float, ratio: float, n: int) -> "ScaleGrid":
-        if not 0 < ratio and ratio != 1.0:
+        if not (ratio > 0 and ratio != 1.0):
             raise ValueError("ratio must be positive and != 1")
         return cls(scales=start * ratio ** np.arange(n))
-
-    def trailing(self) -> np.ndarray:
-        return self.scales[-max(3, self.scales.size // 3):]
 
     def with_values(self, values: np.ndarray) -> "ScaleGrid":
         return ScaleGrid(scales=self.scales, values=np.asarray(values, dtype=float))
@@ -103,17 +100,29 @@ def boundary_count(string: FractalString, eps: float) -> int:
     return 2 * string.J(2.0 * eps)
 
 
-def _classify_samples(ratios: np.ndarray, scales: np.ndarray, band: float):
-    tail_n = max(3, ratios.size // 3)
-    tail = ratios[-tail_n:]
-    lo = float(np.min(tail))
-    hi = float(np.max(tail))
-    # slope over the whole grid so bounded oscillation averages out instead
-    # of aliasing into a trend
-    if np.all(ratios > 0) and np.all(np.isfinite(ratios)):
-        slope = float(np.polyfit(np.log(scales), np.log(ratios), 1)[0])
+def trailing_third(values: np.ndarray) -> np.ndarray:
+    """The samples that stand in for the limit: the last third, at least 3."""
+    return values[-max(3, values.size // 3):]
+
+
+def trailing_extremes(values: np.ndarray, scales: np.ndarray):
+    """(min, max) of the trailing third of the samples, and their log-log
+    slope against the scales.
+
+    The slope is fitted over the whole grid so bounded oscillation averages
+    out instead of aliasing into a trend; it is inf unless every sample is
+    positive and finite.
+    """
+    tail = trailing_third(values)
+    if np.all(values > 0) and np.all(np.isfinite(values)):
+        slope = float(np.polyfit(np.log(scales), np.log(values), 1)[0])
     else:
         slope = math.inf
+    return float(np.min(tail)), float(np.max(tail)), slope
+
+
+def _classify_samples(ratios: np.ndarray, scales: np.ndarray, band: float):
+    lo, hi, slope = trailing_extremes(ratios, scales)
     if not (lo > 0.0 and math.isfinite(hi)) or abs(slope) > DRIFT_SLOPE_TOL:
         verdict = "degenerate"
     elif hi / lo <= 1.0 + band:

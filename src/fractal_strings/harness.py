@@ -16,7 +16,8 @@ from typing import Dict, Optional
 import numpy as np
 
 from .gauge import gauge_from_json, make_derived
-from .geometry import (ScaleGrid, cantor_grid, minkowski_estimate, s_estimate)
+from .geometry import (DEFAULT_BAND, ScaleGrid, cantor_grid,
+                       minkowski_estimate, s_estimate, trailing_third)
 from .karamata import classify_ratio
 from .spectral import ZetaContext, eigen_count, packing_defect, weyl_term
 from .strings import FractalString, string_from_json
@@ -26,12 +27,20 @@ _COMPAT_RATIO = ("equivalent", "similar")
 _DRIFT_TOL = 0.1
 
 
+# JSON key under "grids" -> (ExperimentConfig field, type)
+_GRID_FIELDS = {
+    "eps0": ("eps0", float), "q": ("eps_ratio", float), "n": ("eps_n", int),
+    "lam0": ("lam0", float), "lam_factor": ("lam_factor", float),
+    "lam_n": ("lam_n", int), "j0": ("j0", int), "j_factor": ("j_factor", float),
+    "j_n": ("j_n", int),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     string_spec: dict
     gauge_spec: dict
     D: float
-    L: Optional[float] = None
     eps0: float = 2.0 ** -10
     eps_ratio: float = 0.5
     eps_n: int = 31
@@ -42,38 +51,26 @@ class ExperimentConfig:
     j0: int = 16
     j_factor: float = 2.3
     j_n: int = 12
-    band: float = 0.02
+    band: float = DEFAULT_BAND
 
     @classmethod
     def from_json(cls, spec: dict) -> "ExperimentConfig":
+        """Read a config; keys it leaves out keep the dataclass defaults."""
         grids = spec.get("grids", {})
-        return cls(
-            string_spec=spec["string"],
-            gauge_spec=spec["gauge"],
-            D=float(spec["D"]),
-            L=None if spec.get("L") is None else float(spec["L"]),
-            eps0=float(grids.get("eps0", 2.0 ** -10)),
-            eps_ratio=float(grids.get("q", 0.5)),
-            eps_n=int(grids.get("n", 31)),
-            lam0=float(grids.get("lam0", 1e3)),
-            lam_factor=float(grids.get("lam_factor", 4.0)),
-            lam_n=int(grids.get("lam_n", 12)),
-            j0=int(grids.get("j0", 16)),
-            j_factor=float(grids.get("j_factor", 2.0)),
-            j_n=int(grids.get("j_n", 12)),
-            band=float(spec.get("band", 0.02)),
-        )
+        kw = {name: kind(grids[key])
+              for key, (name, kind) in _GRID_FIELDS.items() if key in grids}
+        if "band" in spec:
+            kw["band"] = float(spec["band"])
+        return cls(string_spec=spec["string"], gauge_spec=spec["gauge"],
+                   D=float(spec["D"]), **kw)
 
     def to_json(self) -> dict:
         return {
             "string": self.string_spec,
             "gauge": self.gauge_spec,
             "D": self.D,
-            "L": self.L,
-            "grids": {"eps0": self.eps0, "q": self.eps_ratio, "n": self.eps_n,
-                      "lam0": self.lam0, "lam_factor": self.lam_factor,
-                      "lam_n": self.lam_n, "j0": self.j0,
-                      "j_factor": self.j_factor, "j_n": self.j_n},
+            "grids": {key: getattr(self, name)
+                      for key, (name, _) in _GRID_FIELDS.items()},
             "band": self.band,
         }
 
@@ -116,18 +113,10 @@ class VerificationReport:
         }
 
 
-def _drift_slope(xs: np.ndarray, values: np.ndarray) -> float:
-    keep = values > 0
-    if keep.sum() < 3:
-        return math.inf
-    return float(np.polyfit(np.log(xs[keep]), np.log(values[keep]), 1)[0])
-
-
 def _ratio_assertion(label: str, f1, f2, grid: ScaleGrid, band: float) -> AssertionResult:
     verdict = classify_ratio(f1, f2, grid, band=band)
-    slope = _drift_slope(grid.scales, verdict.values)
     cls = verdict.classification
-    if cls == "similar" and abs(slope) > _DRIFT_TOL:
+    if cls == "similar" and abs(verdict.drift_slope) > _DRIFT_TOL:
         cls = "neither"  # trailing samples still drifting to 0 or infinity
     return AssertionResult(
         label=label, checked=True, verdict=cls,
@@ -135,7 +124,7 @@ def _ratio_assertion(label: str, f1, f2, grid: ScaleGrid, band: float) -> Assert
         evidence={"liminf": verdict.liminf_estimate,
                   "limsup": verdict.limsup_estimate,
                   "raw_classification": verdict.classification,
-                  "drift_slope": slope,
+                  "drift_slope": verdict.drift_slope,
                   "values": verdict.values.tolist()})
 
 
@@ -174,8 +163,7 @@ def run_verify(config: ExperimentConfig) -> VerificationReport:
         g_vals = derived.g(js.astype(float))
         assertions["iii"] = _ratio_assertion(
             "l_j against g(j)", lambda t: lengths, lambda t: g_vals, j_grid, band)
-        tail_n = max(3, js.size // 3)
-        L_hat = float(np.median((lengths / g_vals)[-tail_n:]))
+        L_hat = float(np.median(trailing_third(lengths / g_vals)))
     else:
         assertions["iii"] = AssertionResult(
             "l_j against g(j)", False, "inapplicable", None,
@@ -217,12 +205,9 @@ def run_verify(config: ExperimentConfig) -> VerificationReport:
         "h'-S measurability", True, sest.verdict,
         sest.verdict == "measurable",
         {"lower": sest.lower, "upper": sest.upper})
-    if L_hat is not None and assertions["iii"].checked:
-        js_f = np.array([j for j in js], dtype=float)
-        lengths = np.array([string.length(int(j)) for j in js])
-        scaled = L_hat * derived.g(js_f)
-        v8 = classify_ratio(lambda t: lengths, lambda t: scaled,
-                            ScaleGrid(scales=js_f), band=band)
+    if L_hat is not None:
+        scaled = L_hat * g_vals
+        v8 = classify_ratio(lambda t: lengths, lambda t: scaled, j_grid, band=band)
         assertions["viii"] = AssertionResult(
             "l_j ~ L g(j)", True, v8.classification,
             v8.classification == "equivalent",
@@ -300,14 +285,14 @@ def bundled_examples() -> Dict[str, ExperimentConfig]:
                                    "log_exponents": [], "domain_upper": 1.0}},
             gauge_spec={"form": "powerlog", "rho": 1.0 - D,
                         "log_exponents": [], "domain_upper": 1.0},
-            D=D, L=1.0)
+            D=D)
         configs["profile_log_D%g" % D] = ExperimentConfig(
             string_spec={"kind": "profile", "L": 1.0,
                          "gauge": {"form": "powerlog", "rho": 1.0 - D,
                                    "log_exponents": [1.0], "domain_upper": 0.1}},
             gauge_spec={"form": "powerlog", "rho": 1.0 - D,
                         "log_exponents": [1.0], "domain_upper": 0.1},
-            D=D, L=1.0,
+            D=D,
             # log corrections decay like 1/log(1/eps); sample deep scales so
             # the trailing spread falls inside the measurability band
             eps0=2.0 ** -60, eps_ratio=0.25, eps_n=31)

@@ -8,49 +8,17 @@ diagnostics, never proofs of the corresponding limit statements.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NumericError
-from .gauge import GaugeFunction
-from .geometry import ScaleGrid
+from .gauge import rv_defect  # noqa: F401  (re-exported)
+from .geometry import DEFAULT_BAND, ScaleGrid, trailing_extremes
+from .strings import _em_tail_sum, _panel_integral
 
-DEFAULT_BAND = 0.02
 _TAIL_SPLICE_FACTOR = 1e3
-
-
-def _evaluator(h):
-    """Accept a GaugeFunction or a bare callable."""
-    if isinstance(h, GaugeFunction):
-        return h.h, h.domain_upper
-    return h, None
-
-
-def rv_defect(h, rho: float, t_grid, y_grid) -> np.ndarray:
-    """Per-scale worst defect sup_t |h(ty)/h(y) - t**rho|.
-
-    A trend to 0 along y_grid (decreasing to 0) is numeric evidence that h
-    is regularly varying with index rho.
-    """
-    fn, upper = _evaluator(h)
-    ts = np.asarray(t_grid, dtype=float)
-    ys = np.asarray(y_grid, dtype=float)
-    if ts.size == 0 or ys.size == 0:
-        raise ValueError("empty grid")
-    out = np.empty(ys.size)
-    for i, y in enumerate(ys):
-        usable = ts if upper is None else ts[ts * y <= upper]
-        if usable.size < ts.size:
-            warnings.warn("rv_defect: skipped t values outside the domain")
-        if usable.size == 0:
-            raise ValueError("all t values leave the domain at y = %g" % y)
-        ratio = np.atleast_1d(fn(usable * y)) / fn(y)
-        out[i] = float(np.max(np.abs(ratio - usable ** rho)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -97,11 +65,8 @@ def extract_representation(l: Callable, a: float, y_grid,
     if np.any(~np.isfinite(eps_vals)):
         raise NumericError("non-finite elasticity on the grid")
     c = float(l(a))
-    recon = np.empty(ys.size)
-    for i, y in enumerate(ys):
-        integral, _ = quad(lambda u: eps(u) / u, y, a,
-                           epsabs=0.0, epsrel=1e-11, limit=400)
-        recon[i] = c * math.exp(integral)
+    recon = np.array([c * math.exp(_panel_integral(lambda u: eps(u) / u, y, a))
+                      for y in ys])
     inputs = np.array([float(l(y)) for y in ys])
     return RepresentationDecomposition(
         anchor=float(a), y_grid=ys, c_values=np.full(ys.size, c),
@@ -127,10 +92,9 @@ def karamata_direct(f: Callable, rho: float, sigma: float, x: float, X: float,
         return u ** sigma * float(f(u))
 
     if direct:
-        integral, _ = quad(integrand, X, x, epsabs=0.0, epsrel=1e-10, limit=400)
-        return x ** (sigma + 1) * float(f(x)) / integral
+        return x ** (sigma + 1) * float(f(x)) / _panel_integral(integrand, X, x)
     splice = _TAIL_SPLICE_FACTOR * x
-    integral, _ = quad(integrand, x, splice, epsabs=0.0, epsrel=1e-10, limit=400)
+    integral = _panel_integral(integrand, x, splice)
     # analytic power-law closure beyond the splice point
     integral += -splice ** (sigma + 1) * float(f(splice)) / (sigma + rho + 1.0)
     return x ** (sigma + 1) * float(f(x)) / integral
@@ -149,19 +113,7 @@ def tail_sum_rv(g: Callable, rho: float, k: int):
         raise ValueError(
             "g does not look regularly varying with index %g (local index %.3f)"
             % (rho, local_index))
-    M = max(k, 4096)
-    js = np.arange(k, M, dtype=float)
-    direct = math.fsum(np.asarray(g(js), dtype=float)) if js.size else 0.0
-
-    def fn(t):
-        return float(g(t))
-
-    integral, _ = quad(fn, M, np.inf, epsabs=0.0, epsrel=1e-12, limit=400)
-    if not math.isfinite(integral):
-        raise NumericError("tail integral did not converge")
-    step = M * 1e-4
-    d1 = (fn(M + step) - fn(M - step)) / (2 * step)
-    total = direct + integral + fn(M) / 2.0 - d1 / 12.0
+    total = _em_tail_sum(g, k - 1)
     predicted = -1.0 / (rho + 1.0) * k * gk
     return total, predicted
 
@@ -173,6 +125,7 @@ class RatioVerdict:
     liminf_estimate: float
     limsup_estimate: float
     classification: str  # "equivalent" | "similar" | "neither"
+    drift_slope: float   # log-log slope of f1/f2 over the whole grid
     grid: ScaleGrid
     values: np.ndarray = field(repr=False, default=None)
 
@@ -189,7 +142,8 @@ def classify_ratio(f1: Callable, f2: Callable, grid: ScaleGrid,
                    band: float = DEFAULT_BAND) -> RatioVerdict:
     """Classify f1/f2 on the grid as ~ (equivalent), asymp (similar) or neither.
 
-    liminf/limsup are estimated from the trailing third of the samples.
+    liminf/limsup are estimated from the trailing third of the samples;
+    the drift slope is fitted over all of them.
     """
     scales = grid.scales
     if scales.size < 9:
@@ -205,16 +159,15 @@ def classify_ratio(f1: Callable, f2: Callable, grid: ScaleGrid,
     if np.any(den <= 0.0):
         raise ValueError("f2 must be positive on the grid")
     values = num / den
-    tail = values[-max(3, scales.size // 3):]
-    lo = float(np.min(tail))
-    hi = float(np.max(tail))
+    lo, hi, slope = trailing_extremes(values, scales)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         cls = "neither"
     elif 1.0 - band <= lo and hi <= 1.0 + band:
         cls = "equivalent"
-    elif lo > 0.0 and math.isfinite(hi):
+    elif lo > 0.0:
         cls = "similar"
     else:
         cls = "neither"
     return RatioVerdict(liminf_estimate=lo, limsup_estimate=hi,
-                        classification=cls, grid=grid, values=values)
+                        classification=cls, drift_slope=slope, grid=grid,
+                        values=values)

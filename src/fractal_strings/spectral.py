@@ -207,7 +207,7 @@ class SpectralRecord:
 
 
 def second_term_probe(string: FractalString, derived: DerivedFunctions,
-                      L: float, lam_grid: Sequence[float]) -> List[SpectralRecord]:
+                      lam_grid: Sequence[float]) -> List[SpectralRecord]:
     """Per-lambda remainder and packing-defect ratios against f."""
     records = []
     for lam in sorted(lam_grid):

@@ -41,6 +41,14 @@ _PANEL_FACTOR = 8.0
 _MAX_PANELS = 250
 
 
+def _gauss_panel(fn: Callable, lo: float, hi: float) -> float:
+    """int_lo^hi fn by the 32-point Gauss-Legendre rule; fn takes float arrays."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    values = np.asarray(fn(mid + half * _GL_NODES), dtype=float)
+    return half * float(np.dot(_GL_WEIGHTS, values))
+
+
 def _panel_integral_to_inf(fn: Callable, a: float) -> float:
     """int_a^inf fn via 32-point Gauss-Legendre on geometric panels.
 
@@ -52,15 +60,31 @@ def _panel_integral_to_inf(fn: Callable, a: float) -> float:
     lo = a
     for _ in range(_MAX_PANELS):
         hi = lo * _PANEL_FACTOR
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        pts = mid + half * _GL_NODES
-        panel = half * float(np.dot(_GL_WEIGHTS, np.asarray(fn(pts), dtype=float)))
+        panel = _gauss_panel(fn, lo, hi)
         total += panel
         if abs(panel) <= 1e-15 * abs(total) or hi > 1e300:
             return total
         lo = hi
     raise NumericError("tail integral did not converge within the panel budget")
+
+
+def _panel_integral(fn: Callable[[float], float], a: float, b: float) -> float:
+    """int_a^b fn for a, b > 0, by the same rule on equal geometric panels
+    of ratio at most _PANEL_FACTOR.
+
+    fn is called with one float node at a time, so scalar-only callables
+    work.  b < a gives the negated integral.
+    """
+    if not (a > 0.0 and b > 0.0):
+        raise ValueError("integration limits must be positive")
+    n = max(1, math.ceil(abs(math.log(b / a)) / math.log(_PANEL_FACTOR)))
+    edges = np.geomspace(a, b, n + 1)
+
+    def nodewise(ts):
+        return [float(fn(float(t))) for t in ts]
+
+    return math.fsum(_gauss_panel(nodewise, lo, hi)
+                     for lo, hi in zip(edges[:-1], edges[1:]))
 
 
 def _em_tail_sum(fn: Callable[[float], float], m: int) -> float:
@@ -383,10 +407,6 @@ def make_profile(L: float, derived: DerivedFunctions,
 
 
 # -- JSON wire format -------------------------------------------------------
-
-
-def string_to_json(spec_kind: str, **kw) -> dict:
-    return {"kind": spec_kind, **kw}
 
 
 def string_from_json(spec: dict) -> FractalString:

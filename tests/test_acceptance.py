@@ -6,7 +6,11 @@ useful if it is fast.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,3 +162,15 @@ def test_log_gauge_profile_end_to_end():
     ratios = np.array([packing_defect(string, x) / derived.f(x) for x in xs])
     gaps = np.abs(ratios[-4:] - (-ZETA_HALF))
     assert np.all(np.diff(gaps) < 0.0)
+
+
+def test_import_loads_no_scipy():
+    import fractal_strings
+
+    src = str(Path(fractal_strings.__file__).resolve().parents[1])
+    code = ("import sys; import fractal_strings; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -5,7 +5,7 @@ import pytest
 
 from fractal_strings import (DomainError, check_H1, check_H2, check_H3,
                              custom_gauge, gauge_from_json, gauge_to_json,
-                             make_derived, power_log)
+                             make_derived, power_log, rv_defect)
 from fractal_strings.errors import ConstructionError
 
 
@@ -131,9 +131,13 @@ def test_check_H1_flags_decreasing_function():
 
 def test_check_H2_defect_shrinks_toward_zero():
     g = power_log(0.5, [1.0])
-    rep = check_H2(g, np.array([0.25, 0.5, 1.0]), np.geomspace(1e-12, 0.05, 8))
+    ts = np.array([0.25, 0.5, 1.0])
+    ys = np.geomspace(1e-12, 0.05, 8)
+    rep = check_H2(g, ts, ys)
     assert rep.satisfied
     assert rep.detail["defect_at_smallest_scale"] < rep.worst_defect
+    assert np.array_equal(rep.detail["defect_per_scale"],
+                          rv_defect(g, g.index, ts, np.sort(ys)[::-1]))
 
 
 def test_check_H3_lower_power_bound():

@@ -17,6 +17,8 @@ def test_scale_grid_validation():
         ScaleGrid(scales=np.array([0.1, 0.2, 0.15] + [0.01] * 7))
     with pytest.raises(ValueError):
         ScaleGrid(scales=np.linspace(-1.0, 1.0, 12))
+    with pytest.raises(ValueError, match="ratio"):
+        ScaleGrid.geometric(0.1, 1.0, 12)
     # both orientations are fine
     ScaleGrid(scales=np.geomspace(0.1, 1e-6, 12))
     ScaleGrid(scales=np.geomspace(10.0, 1e6, 12))
@@ -89,6 +91,32 @@ def test_cantor_oscillation_matches_closed_form():
         expected = 2.0 ** (1.0 - D) * (1 + u) * u ** (D - 1.0)
         got = tube_volume(c, eps) / g.h(eps)
         assert got == pytest.approx(expected, rel=1e-6)
+
+
+def test_cantor_s_samples_match_closed_form():
+    # 2 J(2 eps)/h'(eps) = 2^-D (1 - 2^(1-n)) u^D / (1-D) at 2 eps = 3^-n u,
+    # u in [1, 3): the lengths above 2 eps are 3^-k, k < n, 2^(n-1) - 1 of them
+    D = math.log(2) / math.log(3)
+    c = make_cantor()
+    g = power_log(1.0 - D)
+
+    def closed(eps):
+        n = -math.floor(math.log(2.0 * eps) / math.log(3.0))
+        u = 2.0 * eps * 3.0 ** n
+        return 2.0 ** -D * (1.0 - 2.0 ** (1 - n)) * u ** D / (1.0 - D)
+
+    se = s_estimate(c, g, cantor_grid())
+    expected = [closed(e) for e in se.grid.scales]
+    assert se.grid.values == pytest.approx(expected, rel=1e-12)
+    tail = expected[-max(3, len(expected) // 3):]
+    assert se.lower == pytest.approx(min(tail), rel=1e-12)
+    assert se.upper == pytest.approx(max(tail), rel=1e-12)
+    # off the grid, u = 2.9 puts the length 3^-(n-1) inside (2 eps, 2.1 eps]:
+    # the count at 2 eps includes it, a count at 2.1 eps would not
+    for n in (10, 20, 40):
+        eps = 3.0 ** -n * 2.9 / 2.0
+        got = boundary_count(c, eps) / g.dh(eps)
+        assert got == pytest.approx(closed(eps), rel=1e-12)
 
 
 def test_cantor_contents_oscillate_without_drift():

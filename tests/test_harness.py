@@ -23,6 +23,20 @@ def test_config_json_roundtrip_is_identity():
         json.dumps(again.to_json(), sort_keys=True)
 
 
+def test_config_from_json_defaults_match_dataclass():
+    built = ExperimentConfig(string_spec=A1_CONFIG["string"],
+                             gauge_spec=A1_CONFIG["gauge"], D=A1_CONFIG["D"])
+    assert ExperimentConfig.from_json(A1_CONFIG) == built
+
+
+def test_dataclass_config_json_roundtrip():
+    plain = ExperimentConfig(string_spec=A1_CONFIG["string"],
+                             gauge_spec=A1_CONFIG["gauge"], D=A1_CONFIG["D"])
+    for cfg in (plain, *bundled_examples().values()):
+        text = json.dumps(cfg.to_json())
+        assert ExperimentConfig.from_json(json.loads(text)) == cfg
+
+
 def test_run_verify_is_deterministic():
     cfg = ExperimentConfig.from_json(A1_CONFIG)
     r1 = json.dumps(run_verify(cfg).to_json(), sort_keys=True)

@@ -45,6 +45,12 @@ def test_representation_reconstructs_slowly_varying(l, name):
     assert rep.max_relative_residual <= 1e-8
 
 
+def test_representation_accepts_scalar_only_callables():
+    ys = np.geomspace(1e-8, 0.05, 20)
+    rep = extract_representation(lambda y: math.log(1.0 / float(y)), 0.05, ys)
+    assert rep.max_relative_residual <= 1e-8
+
+
 def test_representation_eps_tends_to_zero():
     ys = np.geomspace(1e-12, 0.05, 15)
     rep = extract_representation(
@@ -73,6 +79,16 @@ def test_karamata_tail_half_pure_power():
     f = lambda u: np.asarray(u, dtype=float) ** -3.0
     r = karamata_direct(f, rho=-3.0, sigma=0.0, x=50.0, X=None)
     assert r == pytest.approx(2.0, abs=1e-8)
+
+
+def test_karamata_direct_accepts_scalar_only_callables():
+    # float(u) rejects arrays, so each quadrature node is evaluated alone
+    up = lambda u: float(u) ** 1.5
+    down = lambda u: float(u) ** -3.0
+    assert karamata_direct(up, rho=1.5, sigma=0.0, x=50.0, X=1e-8) == \
+        pytest.approx(2.5, abs=1e-8)
+    assert karamata_direct(down, rho=-3.0, sigma=0.0, x=50.0, X=None) == \
+        pytest.approx(2.0, abs=1e-8)
 
 
 def test_karamata_tail_rejected_when_divergent():

@@ -107,7 +107,7 @@ def test_zeta_context_constants():
 def test_second_term_probe_tracks_target():
     s = make_a_string(1.0)
     d = make_derived(power_log(0.5), 0.5)
-    records = second_term_probe(s, d, 1.0, np.geomspace(1e4, 1e8, 12))
+    records = second_term_probe(s, d, np.geomspace(1e4, 1e8, 12))
     assert len(records) == 12
     ratios = [r.delta_ratio for r in records]
     target = -ZETA_05
@@ -119,7 +119,7 @@ def test_second_term_probe_tracks_target():
 def test_records_to_csv_format():
     s = make_a_string(1.0)
     d = make_derived(power_log(0.5), 0.5)
-    text = records_to_csv(second_term_probe(s, d, 1.0, [1e4, 1e6]))
+    text = records_to_csv(second_term_probe(s, d, [1e4, 1e6]))
     lines = text.strip().split("\n")
     assert lines[0] == "lambda,N,phi,delta,f,remainder_ratio"
     assert len(lines) == 3

@@ -7,7 +7,7 @@ from scipy.special import polygamma
 from fractal_strings import (AnalyticString, ExplicitString, RunLengthString,
                              make_a_string, make_cantor, make_interval,
                              make_profile, make_derived, power_log,
-                             string_from_json, string_to_json)
+                             string_from_json)
 from fractal_strings.errors import ConstructionError
 
 
@@ -156,13 +156,13 @@ def test_truncate_produces_explicit_prefix():
 
 
 def test_string_json_roundtrip():
-    for spec in (string_to_json("cantor", depth=12),
-                 string_to_json("a_string", a=2.0),
-                 string_to_json("interval", length=0.5),
-                 string_to_json("explicit", lengths=[0.5, 0.25, 0.125]),
-                 string_to_json("profile", L=1.0,
-                                gauge={"form": "powerlog", "rho": 0.5,
-                                       "log_exponents": [], "domain_upper": 1.0})):
+    for spec in ({"kind": "cantor", "depth": 12},
+                 {"kind": "a_string", "a": 2.0},
+                 {"kind": "interval", "length": 0.5},
+                 {"kind": "explicit", "lengths": [0.5, 0.25, 0.125]},
+                 {"kind": "profile", "L": 1.0,
+                  "gauge": {"form": "powerlog", "rho": 0.5,
+                            "log_exponents": [], "domain_upper": 1.0}}):
         s = string_from_json(spec)
         assert s.length(1) > 0
         assert s.total_length() > 0
