@@ -17,8 +17,8 @@ from .karamata import (RatioVerdict, RepresentationDecomposition,
                        karamata_direct, rv_defect, tail_sum_rv)
 from .spectral import (SpectralRecord, ZetaContext, eigen_count, eta,
                        packing_defect, records_to_csv,
-                       remainder_identity_check, second_term_probe, w_k,
-                       weyl_term, zeta, zeta_from_wk)
+                       remainder_identity_check, second_term_probe,
+                       spectral_point, w_k, weyl_term, zeta, zeta_from_wk)
 from .strings import (AnalyticString, ExplicitString, FractalString,
                       RunLengthString, make_a_string, make_cantor,
                       make_interval, make_profile, string_from_json)
@@ -38,6 +38,6 @@ __all__ = [
     "make_cantor", "make_derived", "make_interval", "make_profile",
     "minkowski_estimate", "packing_defect", "power_log", "records_to_csv",
     "remainder_identity_check", "rv_defect", "run_verify", "s_estimate",
-    "second_term_probe", "string_from_json", "tail_sum_rv", "tube_volume",
-    "w_k", "weyl_term", "zeta", "zeta_from_wk",
+    "second_term_probe", "spectral_point", "string_from_json", "tail_sum_rv",
+    "tube_volume", "w_k", "weyl_term", "zeta", "zeta_from_wk",
 ]

@@ -22,7 +22,8 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .gauge import gauge_from_json, make_derived
 from .geometry import DEFAULT_BAND, ScaleGrid, minkowski_estimate, s_estimate
-from .harness import ExperimentConfig, bundled_examples, run_verify
+from .harness import (ExperimentConfig, bundled_examples, config_grids,
+                      run_verify)
 from .spectral import (ZetaContext, records_to_csv, second_term_probe, w_k,
                        zeta, zeta_from_wk)
 from .strings import string_from_json
@@ -97,9 +98,9 @@ def cmd_spectrum(args) -> int:
 
 def cmd_content(args) -> int:
     spec = _load_json(args.config)
+    grids = config_grids(spec)
     string = string_from_json(spec["string"])
     gauge = gauge_from_json(spec["gauge"])
-    grids = spec.get("grids", {})
     # the defaults of ExperimentConfig's fields are its class attributes
     grid = ScaleGrid.geometric(float(grids.get("eps0", ExperimentConfig.eps0)),
                                float(grids.get("q", ExperimentConfig.eps_ratio)),
@@ -194,7 +195,7 @@ def main(argv=None) -> int:
         raise
     except (KeyError, ValueError, DomainError) as exc:
         _fail(2, str(exc))
-    except (NumericError, ArithmeticError, OverflowError) as exc:
+    except (NumericError, ArithmeticError) as exc:
         _fail(3, str(exc))
 
 

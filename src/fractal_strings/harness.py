@@ -19,7 +19,7 @@ from .gauge import gauge_from_json, make_derived
 from .geometry import (DEFAULT_BAND, ScaleGrid, cantor_grid,
                        minkowski_estimate, s_estimate, trailing_third)
 from .karamata import classify_ratio
-from .spectral import ZetaContext, eigen_count, packing_defect, weyl_term
+from .spectral import ZetaContext, spectral_point
 from .strings import FractalString, string_from_json
 
 _COMPAT_CONTENT = ("measurable", "nondegenerate")
@@ -34,6 +34,19 @@ _GRID_FIELDS = {
     "lam_n": ("lam_n", int), "j0": ("j0", int), "j_factor": ("j_factor", float),
     "j_n": ("j_n", int),
 }
+
+_CONFIG_KEYS = ("string", "gauge", "D", "grids", "band")
+
+
+def config_grids(spec: dict) -> dict:
+    """The config's "grids" table; ValueError names any key the config
+    format does not define, so a misspelt key is not silently ignored."""
+    grids = spec.get("grids", {})
+    unknown = sorted(set(spec) - set(_CONFIG_KEYS))
+    unknown += ["grids." + key for key in sorted(set(grids) - set(_GRID_FIELDS))]
+    if unknown:
+        raise ValueError("unknown config key(s): %s" % ", ".join(unknown))
+    return grids
 
 
 @dataclass(frozen=True)
@@ -56,7 +69,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, spec: dict) -> "ExperimentConfig":
         """Read a config; keys it leaves out keep the dataclass defaults."""
-        grids = spec.get("grids", {})
+        grids = config_grids(spec)
         kw = {name: kind(grids[key])
               for key, (name, kind) in _GRID_FIELDS.items() if key in grids}
         if "band" in spec:
@@ -175,13 +188,13 @@ def run_verify(config: ExperimentConfig) -> VerificationReport:
     usable = np.minimum(xs, np.sqrt(lams)) >= derived.valid_from
     lams, xs = lams[usable], xs[usable]
     if lams.size >= 9:
-        deltas = np.array([packing_defect(string, x) for x in xs])
+        points = [spectral_point(string, lam) for lam in lams]
+        deltas = np.array([delta for _, _, delta in points])
         f_x = derived.f(xs)
         assertions["iv"] = _ratio_assertion(
             "delta(x) against f(x)", lambda t: deltas, lambda t: f_x,
             ScaleGrid(scales=xs), band)
-        remainders = np.array([weyl_term(string, lam) - eigen_count(string, lam)
-                               for lam in lams])
+        remainders = np.array([phi - n for n, phi, _ in points])
         f_sq = derived.f(np.sqrt(lams))
         assertions["v"] = _ratio_assertion(
             "phi - N against f(sqrt(lambda))", lambda t: remainders,

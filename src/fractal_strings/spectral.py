@@ -4,68 +4,75 @@ packing defect and the zeta-side constants of the second asymptotic term.
 For an interval of length l the eigenvalues are (pi k / l)^2, so
 N(lambda) = sum_j floor(l_j x) with x = sqrt(lambda)/pi, and
 phi(lambda) - N(lambda) = delta(x) = sum_j {l_j x} holds exactly.
+
+Floors are exact for the stored float lengths: where p = fl(l_j x) is an
+integer, the exact split l_j x = p + e (Dekker's TwoProduct with Veltkamp's
+splitting) decides which side of p the product lies on, and N is a Python
+int however large.
 """
 
 from __future__ import annotations
 
 import io
 import math
-import os
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError
 from .gauge import DerivedFunctions
 from .strings import FractalString
 
-_MAX_COUNT = 2 ** 62
+_SPLITTER = 2.0 ** 27 + 1.0  # Veltkamp: a double splits into two 26-bit halves
 
 
-def _precision_mode() -> str:
-    mode = os.environ.get("FSTRING_PRECISION", "double")
-    if mode not in ("double", "extended"):
-        raise ValueError("FSTRING_PRECISION must be 'double' or 'extended'")
-    return mode
+def _split(a):
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
 
 
-def _floor_frac(vals: np.ndarray, x: float):
-    """(floor(l*x), {l*x}) per length, honoring the precision mode."""
-    if _precision_mode() == "extended":
-        import mpmath
+def _product_error(a, b):
+    """e with a*b = fl(a*b) + e exactly (Dekker's TwoProduct)."""
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return ((ah * bh - a * b) + ah * bl + al * bh) + al * bl
 
-        with mpmath.workdps(40):
-            mx = mpmath.mpf(x)
-            floors = np.empty(vals.size)
-            fracs = np.empty(vals.size)
-            for i, v in enumerate(vals):
-                p = mpmath.mpf(float(v)) * mx
-                fl = mpmath.floor(p)
-                floors[i] = float(fl)
-                fracs[i] = float(p - fl)
-            return floors, fracs
-    prod = vals * x
-    floors = np.floor(prod)
-    return floors, prod - floors
+
+def _head(string: FractalString, x: float):
+    """(N, sum of {l_j x} over the head, eps) from one runs_above(eps).
+
+    eps lies just below 1/x, so the head holds every length whose exact
+    product with x reaches 1; a length left out has floor(l_j x) = 0 and
+    {l_j x} = l_j x.  floor(p) of p = fl(l_j x) is exact unless p is an
+    integer, where the rounding may have crossed it; there p + floor(e) is.
+    """
+    eps = (1.0 / x) * (1.0 - 2.0 ** -50)
+    vals, mult = string.runs_above(eps)
+    fracs = vals * x
+    floors = np.floor(fracs)
+    fracs -= floors
+    at = np.flatnonzero(fracs == 0.0)
+    err = _product_error(vals[at], x)
+    err_floors = np.floor(err)
+    fracs[at] = err - err_floors
+    weights = np.asarray(mult, dtype=float)
+    n = float(np.dot(weights, floors))
+    if n < 2.0 ** 53:
+        # non-negative integer terms below 2^53: every partial sum is exact
+        n = int(n + np.dot(weights[at], err_floors))
+    else:
+        n = (sum(int(m) * int(f) for m, f in zip(mult.tolist(), floors.tolist()))
+             + sum(int(m) * int(d)
+                   for m, d in zip(mult[at].tolist(), err_floors.tolist())))
+    return n, math.fsum(weights * fracs), eps
 
 
 def eigen_count(string: FractalString, lam: float) -> int:
-    """N(lambda) = sum_j floor(l_j sqrt(lambda)/pi)."""
+    """N(lambda) = sum_j floor(l_j sqrt(lambda)/pi), as an exact int."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    x = math.sqrt(lam) / math.pi
-    vals, mult = string.runs_above(1.0 / x)
-    floors, _ = _floor_frac(vals, x)
-    n = math.fsum(mult * floors)
-    # lengths exactly equal to 1/x are excluded by the strict count but can
-    # still carry an integer part of l*x
-    ties = string.multiplicity_at(1.0 / x)
-    if ties:
-        n += ties * math.floor((1.0 / x) * x)
-    if n > _MAX_COUNT:
-        raise OverflowError("eigenvalue count overflows")
-    return int(round(n))
+    return _head(string, math.sqrt(lam) / math.pi)[0]
 
 
 def weyl_term(string: FractalString, lam: float) -> float:
@@ -77,29 +84,27 @@ def weyl_term(string: FractalString, lam: float) -> float:
 
 def packing_defect(string: FractalString, x: float) -> float:
     """delta(x) = sum_j {l_j x}, split into head fractional parts and an
-    exact tail x * sum_{j > J(1/x)} l_j."""
+    exact tail x * sum_{j > J(eps)} l_j, eps just below 1/x."""
     if x <= 0:
         raise ValueError("x must be positive")
-    eps = 1.0 / x
-    vals, mult = string.runs_above(eps)
-    _, fracs = _floor_frac(vals, x)
-    head = math.fsum(mult * fracs)
-    tail = x * string.tail_sum_beyond(eps)
-    # ties l_j = 1/x sit in the tail sum but only their fractional part counts
-    ties = string.multiplicity_at(eps)
-    if ties:
-        tail -= ties * math.floor(eps * x)
-    return head + tail
+    _, head, eps = _head(string, x)
+    return head + x * string.tail_sum_beyond(eps)
+
+
+def spectral_point(string: FractalString, lam: float) -> Tuple[int, float, float]:
+    """(N(lambda), phi(lambda), delta(sqrt(lambda)/pi)) from one head."""
+    phi = weyl_term(string, lam)
+    x = math.sqrt(lam) / math.pi
+    n, head, eps = _head(string, x)
+    return n, phi, head + x * string.tail_sum_beyond(eps)
 
 
 def remainder_identity_check(string: FractalString, lam_set: Iterable[float]) -> float:
     """max over lambda of |(phi - N) - delta(sqrt(lambda)/pi)|."""
     worst = 0.0
     for lam in lam_set:
-        x = math.sqrt(lam) / math.pi
-        resid = abs((weyl_term(string, lam) - eigen_count(string, lam))
-                    - packing_defect(string, x))
-        worst = max(worst, resid)
+        n, phi, delta = spectral_point(string, lam)
+        worst = max(worst, abs((phi - n) - delta))
     return worst
 
 
@@ -215,9 +220,7 @@ def second_term_probe(string: FractalString, derived: DerivedFunctions,
         x = sq / math.pi
         if min(sq, x) < derived.valid_from:
             continue  # f undefined this far down
-        n = eigen_count(string, lam)
-        phi = weyl_term(string, lam)
-        delta = packing_defect(string, x)
+        n, phi, delta = spectral_point(string, lam)
         f_sq = derived.f(sq)
         f_x = derived.f(x)
         records.append(SpectralRecord(

@@ -8,6 +8,8 @@ j -> l_j with exact or Euler-Maclaurin tail sums.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -118,7 +120,8 @@ class FractalString:
         raise NotImplementedError
 
     def runs_above(self, eps: float) -> Tuple[np.ndarray, np.ndarray]:
-        """(values, multiplicities) of the lengths strictly larger than eps."""
+        """(values, multiplicities) of the lengths strictly larger than eps,
+        as arrays; run-length multiplicities are exact Python ints."""
         raise NotImplementedError
 
     def tail_sum_beyond(self, eps: float) -> float:
@@ -131,18 +134,6 @@ class FractalString:
     def head_sum(self, n: int) -> float:
         """sum_{j <= n} l_j."""
         raise NotImplementedError
-
-    def multiplicity_at(self, eps: float) -> int:
-        """Number of lengths exactly equal to eps (tie detection)."""
-        count = 0
-        j = self.J(eps) + 1
-        try:
-            while self.length(j) == eps:
-                count += 1
-                j += 1
-        except IndexError:
-            pass
-        return count
 
     def count(self) -> Optional[int]:
         """Number of lengths, or None for infinite strings."""
@@ -185,11 +176,6 @@ class ExplicitString(FractalString):
         n = min(n, self._vals.size)
         return float(self._suffix[0] - self._suffix[n])
 
-    def multiplicity_at(self, eps: float) -> int:
-        lo = np.searchsorted(-self._vals, -eps, side="left")
-        hi = np.searchsorted(-self._vals, -eps, side="right")
-        return int(hi - lo)
-
     def count(self):
         return int(self._vals.size)
 
@@ -204,28 +190,25 @@ class RunLengthString(FractalString):
         if not blocks:
             raise ConstructionError("blocks must be non-empty")
         vals = np.array([b[0] for b in blocks], dtype=float)
-        # float64 so huge multiplicities (e.g. 2^95) are representable;
-        # realistic query depths stay far below the 2^53 exactness limit
-        mult = np.array([b[1] for b in blocks], dtype=float)
+        # Python ints, so counts stay exact past 2^53 (the Cantor string
+        # reaches 2^95)
+        mult = np.array([int(b[1]) for b in blocks], dtype=object)
         if np.any(np.diff(vals) >= 0.0):
             raise ConstructionError("block lengths must be strictly decreasing")
-        if vals[-1] <= 0.0 or np.any(mult < 1):
+        if vals[-1] <= 0.0 or min(mult) < 1:
             raise ConstructionError("lengths positive, multiplicities >= 1 required")
         self._vals = vals
         self._mult = mult
-        self._cum = np.concatenate([[0], np.cumsum(mult)])
-        self._suffix = _compensated_suffix_sums(vals * mult)
-        self._exact_count = sum(int(b[1]) for b in blocks)
+        self._cum = [0, *itertools.accumulate(mult)]
+        self._suffix = _compensated_suffix_sums(vals * mult.astype(float))
 
     def length(self, j: int) -> float:
         if not 1 <= j <= self._cum[-1]:
             raise IndexError("index %d beyond string of %d lengths" % (j, self._cum[-1]))
-        b = int(np.searchsorted(self._cum, j, side="left")) - 1
-        return float(self._vals[b])
+        return float(self._vals[bisect.bisect_left(self._cum, j) - 1])
 
     def J(self, eps: float) -> int:
-        b = int(np.searchsorted(-self._vals, -eps, side="left"))
-        return int(self._cum[b])
+        return self._cum[int(np.searchsorted(-self._vals, -eps, side="left"))]
 
     def runs_above(self, eps: float):
         b = int(np.searchsorted(-self._vals, -eps, side="left"))
@@ -239,25 +222,21 @@ class RunLengthString(FractalString):
         return float(self._suffix[0])
 
     def head_sum(self, n: int) -> float:
-        n = min(n, int(self._cum[-1]))
-        b = int(np.searchsorted(self._cum, n, side="left"))
+        n = min(n, self._cum[-1])
+        b = bisect.bisect_left(self._cum, n)
         partial = float(self._suffix[0] - self._suffix[b])
         # subtract the part of block b-1 that lies beyond n
-        over = int(self._cum[b]) - n
+        over = self._cum[b] - n
         return partial - over * float(self._vals[b - 1]) if over else partial
 
-    def multiplicity_at(self, eps: float) -> int:
-        idx = np.nonzero(self._vals == eps)[0]
-        return int(self._mult[idx[0]]) if idx.size else 0
-
     def count(self):
-        return self._exact_count
+        return self._cum[-1]
 
     def truncate(self, n: int) -> ExplicitString:
         if n < 1:
             raise ValueError("n must be >= 1")
-        n = int(min(n, self._cum[-1]))
-        reps = np.minimum(self._mult, float(n)).astype(np.int64)
+        n = min(n, self._cum[-1])
+        reps = [min(m, n) for m in self._mult]
         return ExplicitString(np.repeat(self._vals, reps)[:n])
 
 
@@ -331,14 +310,6 @@ class AnalyticString(FractalString):
     def head_sum(self, n: int) -> float:
         js = np.arange(1, n + 1, dtype=float)
         return math.fsum(np.asarray(self._fn(js), dtype=float))
-
-    def multiplicity_at(self, eps: float) -> int:
-        count = 0
-        j = self.J(eps) + 1
-        while count < 8 and self._scalar(j) == eps:
-            count += 1
-            j += 1
-        return count
 
 
 # -- canonical families -----------------------------------------------------

@@ -37,6 +37,13 @@ def test_dataclass_config_json_roundtrip():
         assert ExperimentConfig.from_json(json.loads(text)) == cfg
 
 
+def test_config_rejects_unknown_keys():
+    # a misspelt grid key and a key the format does not have
+    spec = dict(A1_CONFIG, grids={"jfactor": 3.0}, L=3.0)
+    with pytest.raises(ValueError, match=r"L, grids\.jfactor"):
+        ExperimentConfig.from_json(spec)
+
+
 def test_run_verify_is_deterministic():
     cfg = ExperimentConfig.from_json(A1_CONFIG)
     r1 = json.dumps(run_verify(cfg).to_json(), sort_keys=True)
@@ -130,6 +137,14 @@ def test_cli_content(tmp_path, capsys):
     assert main(["content", path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["minkowski"]["verdict"] == "measurable"
+
+
+def test_cli_content_rejects_unknown_keys(tmp_path, capsys):
+    path = _write_config(tmp_path, dict(A1_CONFIG, grids={"jfactor": 3.0}, L=3.0))
+    with pytest.raises(SystemExit) as exc:
+        main(["content", path])
+    assert exc.value.code == 2
+    assert "grids.jfactor" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_cli_zeta(capsys):

@@ -1,17 +1,17 @@
 import math
-import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fractal_strings import (ExplicitString, ZetaContext, eigen_count, eta,
-                             make_a_string, make_cantor, make_derived,
-                             make_interval, packing_defect, power_log,
-                             records_to_csv, remainder_identity_check,
-                             second_term_probe, w_k, weyl_term, zeta,
-                             zeta_from_wk)
+from fractal_strings import (ExplicitString, RunLengthString, ZetaContext,
+                             eigen_count, eta, make_a_string, make_cantor,
+                             make_derived, make_interval, packing_defect,
+                             power_log, records_to_csv,
+                             remainder_identity_check, second_term_probe, w_k,
+                             weyl_term, zeta, zeta_from_wk)
 
 # reference values computed with mpmath at 30 digits
 ZETA_03 = -0.904559257253983990007876151834
@@ -128,19 +128,47 @@ def test_records_to_csv_format():
     assert first[1] == str(eigen_count(s, 1e4))
 
 
-def test_precision_mode_validation(monkeypatch):
-    monkeypatch.setenv("FSTRING_PRECISION", "quad")
-    with pytest.raises(ValueError):
-        packing_defect(make_interval(1.0), 10.0)
+@st.composite
+def _near_integer_products(draw):
+    """(lam, lengths) with an exact tie l = 1/x and lengths nextafter(k/x)
+    whose products with x = sqrt(lam)/pi lie on or next to integers."""
+    lam = (draw(st.floats(1.0, 1e20)) * math.pi) ** 2
+    x = math.sqrt(lam) / math.pi
+    lengths = [1.0 / x] + draw(st.lists(st.floats(1e-9, 1.0), max_size=8))
+    for k, way in draw(st.lists(st.tuples(st.integers(1, 1000),
+                                          st.sampled_from((-1, 0, 1))),
+                                max_size=8)):
+        lengths.append(float(np.nextafter(k / x, way * math.inf)) if way else k / x)
+    return lam, lengths
 
 
-def test_extended_precision_agrees_with_double(monkeypatch):
-    s = make_cantor(depth=20)
-    x = 12345.6789
-    dbl = packing_defect(s, x)
-    monkeypatch.setenv("FSTRING_PRECISION", "extended")
-    ext = packing_defect(s, x)
-    assert ext == pytest.approx(dbl, abs=1e-6)
+@settings(max_examples=200, deadline=None)
+@given(_near_integer_products())
+def test_count_and_defect_match_fraction_sums(case):
+    lam, lengths = case
+    x = math.sqrt(lam) / math.pi
+    s = ExplicitString(lengths)
+    products = [Fraction(l) * Fraction(x) for l in lengths]
+    floors = [math.floor(p) for p in products]
+    assert eigen_count(s, lam) == sum(floors)
+    delta = sum(p - f for p, f in zip(products, floors))
+    assert packing_defect(s, x) == pytest.approx(
+        float(delta), abs=1e-12 * max(1.0, float(sum(products))))
+
+
+def test_cantor_count_at_float_floor_fault():
+    # fl(x/3) = 543206908579.0 rounds up onto an integer; the exact product
+    # is 543206908578.99997
+    assert eigen_count(make_cantor(), 2.6210350237577547e25) == 1629529882242
+
+
+def test_count_exact_past_two_to_the_53():
+    blocks = [(0.5, 2 ** 60 + 1), (0.1, 3)]
+    s = RunLengthString(blocks)
+    for lam in (1e3, 1e12, 2.6e25):
+        x = math.sqrt(lam) / math.pi
+        exact = sum(m * math.floor(Fraction(l) * Fraction(x)) for l, m in blocks)
+        assert eigen_count(s, lam) == exact
 
 
 def test_positive_arguments_required():

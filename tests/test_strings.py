@@ -22,8 +22,6 @@ def test_counting_function_is_strict():
     s = ExplicitString([0.5, 0.25, 0.25, 0.1])
     assert s.J(0.25) == 1          # only 0.5 is strictly larger
     assert s.J(0.2499999) == 3
-    assert s.multiplicity_at(0.25) == 2
-    assert s.multiplicity_at(0.3) == 0
 
 
 def test_explicit_tail_and_head_sums():
@@ -41,7 +39,6 @@ def test_runlength_agrees_with_flat_expansion():
     for eps in (0.6, 0.5, 0.3, 0.2, 0.1, 0.05, 0.01):
         assert rl.J(eps) == flat.J(eps)
         assert rl.tail_sum_beyond(eps) == pytest.approx(flat.tail_sum_beyond(eps), rel=1e-14)
-        assert rl.multiplicity_at(eps) == flat.multiplicity_at(eps)
     for n in (1, 4, 9, 11):
         assert rl.head_sum(n) == pytest.approx(flat.head_sum(n), rel=1e-14)
         assert rl.length(n) == flat.length(n)
@@ -63,7 +60,6 @@ def test_cantor_block_structure():
     # the threshold length itself is not counted (strict inequality)
     assert c.J(3.0 ** -4) == 2 ** 3 - 1
     assert c.J(3.0 ** -4 * 0.999) == 2 ** 4 - 1
-    assert c.multiplicity_at(3.0 ** -5) == 2 ** 4
     # tail beyond J(3^-4) starts at the 3^-4 block itself
     assert c.tail_sum_beyond(3.0 ** -4) == pytest.approx(
         (2 / 3) ** 3 - (2 / 3) ** 10, rel=1e-12)
@@ -77,6 +73,11 @@ def test_cantor_deep_multiplicities_do_not_overflow():
     c = make_cantor(depth=96)
     assert c.count() == 2 ** 96 - 1
     assert c.J(1e-10) == 2 ** 20 - 1  # 3^-20 > 1e-10 > 3^-21
+    # past 2^53 the counts are exact integers, not rounded floats
+    assert c.J(1.5 * 3.0 ** -60) == 2 ** 59 - 1
+    assert c.length(2 ** 59 - 1) == 3.0 ** -59
+    assert c.length(2 ** 59) == 3.0 ** -60
+    assert c.head_sum(2 ** 59) == pytest.approx(1.0 - (2 / 3) ** 59 + 3.0 ** -60, rel=1e-15)
 
 
 def test_a_string_lengths_and_tail():
