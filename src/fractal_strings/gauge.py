@@ -171,20 +171,27 @@ class DerivedFunctions:
     D: float
     y1: float          # H strictly increasing on (0, y1]
     valid_from: float
+    H_y1: float        # H(y1), the top of H_inv's domain
 
     def H(self, y):
         return np.asarray(y, dtype=float) / self.gauge.h(y) if not np.isscalar(y) else y / self.gauge.h(y)
 
     def H_at_y1(self) -> float:
-        return self.y1 / self.gauge.h(self.y1)
+        return self.H_y1
 
     def H_inv(self, z):
         """Invert H on (0, y1]: closed form for pure powers, Newton in log
-        coordinates for power-log gauges (geometric bisection if Newton does
-        not settle), geometric bisection for custom gauges."""
+        coordinates for power-log gauges, geometric bisection for custom
+        gauges.
+
+        Newton in u = ln y stops once every step is at most 4e-16 |u|, a
+        couple of ulps of u; a bound on the absolute step would sit below
+        one ulp when |u| is large.  If the last step still exceeds 1e-9,
+        geometric bisection takes over.
+        """
         scalar = np.isscalar(z)
         zz = np.atleast_1d(np.asarray(z, dtype=float))
-        z_max = self.H_at_y1()
+        z_max = self.H_y1
         if np.any(zz <= 0.0) or np.any(zz > z_max * (1 + 1e-12)):
             raise DomainError("H_inv argument outside admissible range (0, %g]" % z_max)
         if self.gauge.is_pure_power:
@@ -216,7 +223,7 @@ class DerivedFunctions:
                 slope = slope + alpha / prod
             step = (ln_H - ln_z) / slope
             u = np.clip(u - step, u_lo, u_hi)
-            if np.max(np.abs(step)) < 1e-15:
+            if np.max(np.abs(step) - 4e-16 * np.abs(u)) <= 0.0:
                 break
         if np.max(np.abs(step)) > 1e-9:
             return self._bisect(zz)
@@ -279,10 +286,10 @@ def make_derived(gauge: GaugeFunction, D: float) -> DerivedFunctions:
             y1 = y1 * 0.999
     else:
         raise ConstructionError("could not detect a monotone subdomain for H")
-    h_at_y1 = y1 / gauge.h(y1)
-    valid_from = max(1.0 / gauge.domain_upper, 1.0 / h_at_y1)
+    H_y1 = y1 / gauge.h(y1)
+    valid_from = max(1.0 / gauge.domain_upper, 1.0 / H_y1)
     return DerivedFunctions(gauge=gauge, D=float(D), y1=float(y1),
-                            valid_from=float(valid_from))
+                            valid_from=float(valid_from), H_y1=float(H_y1))
 
 
 # -- condition checkers (diagnostics, not proofs) --------------------------
@@ -400,8 +407,18 @@ def gauge_to_json(gauge: GaugeFunction) -> dict:
     }
 
 
+def reject_unknown_keys(spec: dict, known: Sequence[str], what: str) -> None:
+    """ValueError naming every key of ``spec`` outside ``known``, so a
+    misspelt key is not silently ignored."""
+    unknown = sorted(set(spec) - set(known))
+    if unknown:
+        raise ValueError("unknown %s key(s): %s" % (what, ", ".join(unknown)))
+
+
 def gauge_from_json(spec: dict) -> GaugeFunction:
     if spec.get("form") != "powerlog":
         raise ValueError("unknown gauge form: %r" % spec.get("form"))
+    reject_unknown_keys(spec, ("form", "rho", "log_exponents", "domain_upper"),
+                        "powerlog gauge")
     return power_log(spec["rho"], spec.get("log_exponents", ()),
                      spec.get("domain_upper"))

@@ -90,7 +90,8 @@ def tube_volume(string: FractalString, eps: float) -> float:
     """V(eps) = sum_j min(l_j, 2 eps) = tail beyond 2 eps + 2 eps J(2 eps)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return string.tail_sum_beyond(2.0 * eps) + 2.0 * eps * string.J(2.0 * eps)
+    j = string.J(2.0 * eps)
+    return string.tail_sum_beyond_index(j) + 2.0 * eps * j
 
 
 def boundary_count(string: FractalString, eps: float) -> int:

@@ -40,7 +40,8 @@ def _product_error(a, b):
 
 
 def _head(string: FractalString, x: float):
-    """(N, sum of {l_j x} over the head, eps) from one runs_above(eps).
+    """(N, sum of {l_j x} over the head, number of head lengths) from one
+    runs_above(eps).
 
     eps lies just below 1/x, so the head holds every length whose exact
     product with x reaches 1; a length left out has floor(l_j x) = 0 and
@@ -65,7 +66,7 @@ def _head(string: FractalString, x: float):
         n = (sum(int(m) * int(f) for m, f in zip(mult.tolist(), floors.tolist()))
              + sum(int(m) * int(d)
                    for m, d in zip(mult[at].tolist(), err_floors.tolist())))
-    return n, math.fsum(weights * fracs), eps
+    return n, math.fsum(weights * fracs), int(mult.sum())
 
 
 def eigen_count(string: FractalString, lam: float) -> int:
@@ -87,16 +88,16 @@ def packing_defect(string: FractalString, x: float) -> float:
     exact tail x * sum_{j > J(eps)} l_j, eps just below 1/x."""
     if x <= 0:
         raise ValueError("x must be positive")
-    _, head, eps = _head(string, x)
-    return head + x * string.tail_sum_beyond(eps)
+    _, head, j = _head(string, x)
+    return head + x * string.tail_sum_beyond_index(j)
 
 
 def spectral_point(string: FractalString, lam: float) -> Tuple[int, float, float]:
     """(N(lambda), phi(lambda), delta(sqrt(lambda)/pi)) from one head."""
     phi = weyl_term(string, lam)
     x = math.sqrt(lam) / math.pi
-    n, head, eps = _head(string, x)
-    return n, phi, head + x * string.tail_sum_beyond(eps)
+    n, head, j = _head(string, x)
+    return n, phi, head + x * string.tail_sum_beyond_index(j)
 
 
 def remainder_identity_check(string: FractalString, lam_set: Iterable[float]) -> float:

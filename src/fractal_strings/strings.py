@@ -16,7 +16,8 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConstructionError, NumericError
-from .gauge import DerivedFunctions, gauge_from_json, gauge_to_json, make_derived
+from .gauge import (DerivedFunctions, gauge_from_json, make_derived,
+                    reject_unknown_keys)
 
 
 def _compensated_suffix_sums(values: np.ndarray) -> np.ndarray:
@@ -41,6 +42,7 @@ def _compensated_suffix_sums(values: np.ndarray) -> np.ndarray:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _PANEL_FACTOR = 8.0
 _MAX_PANELS = 250
+_PANEL_BATCH = 8
 
 
 def _gauss_panel(fn: Callable, lo: float, hi: float) -> float:
@@ -56,17 +58,26 @@ def _panel_integral_to_inf(fn: Callable, a: float) -> float:
 
     fn must accept float arrays and decay at least like a power t^-p, p > 1.
     Panels [a q^k, a q^(k+1)] are accumulated until their contribution is
-    negligible relative to the running total.
+    negligible relative to the running total.  One fn call takes the nodes
+    of up to _PANEL_BATCH panels, and none past the panel that crosses 1e300.
     """
     total = 0.0
     lo = a
-    for _ in range(_MAX_PANELS):
-        hi = lo * _PANEL_FACTOR
-        panel = _gauss_panel(fn, lo, hi)
-        total += panel
-        if abs(panel) <= 1e-15 * abs(total) or hi > 1e300:
-            return total
-        lo = hi
+    for first in range(0, _MAX_PANELS, _PANEL_BATCH):
+        edges = [lo]
+        while len(edges) <= min(_PANEL_BATCH, _MAX_PANELS - first) and edges[-1] <= 1e300:
+            edges.append(edges[-1] * _PANEL_FACTOR)
+        los = np.array(edges[:-1])
+        his = np.array(edges[1:])
+        halves = 0.5 * (his - los)
+        nodes = 0.5 * (los + his)[:, None] + halves[:, None] * _GL_NODES
+        values = np.asarray(fn(nodes.ravel()), dtype=float).reshape(nodes.shape)
+        for half, row, hi in zip(halves.tolist(), values, edges[1:]):
+            panel = half * float(np.dot(_GL_WEIGHTS, row))
+            total += panel
+            if abs(panel) <= 1e-15 * abs(total) or hi > 1e300:
+                return total
+        lo = edges[-1]
     raise NumericError("tail integral did not converge within the panel budget")
 
 
@@ -126,6 +137,10 @@ class FractalString:
 
     def tail_sum_beyond(self, eps: float) -> float:
         """sum_{j > J(eps)} l_j."""
+        return self.tail_sum_beyond_index(self.J(eps))
+
+    def tail_sum_beyond_index(self, m: int) -> float:
+        """sum_{j > m} l_j."""
         raise NotImplementedError
 
     def total_length(self) -> float:
@@ -166,8 +181,8 @@ class ExplicitString(FractalString):
         j = self.J(eps)
         return self._vals[:j], np.ones(j)
 
-    def tail_sum_beyond(self, eps: float) -> float:
-        return float(self._suffix[self.J(eps)])
+    def tail_sum_beyond_index(self, m: int) -> float:
+        return float(self._suffix[min(m, self._vals.size)])
 
     def total_length(self) -> float:
         return float(self._suffix[0])
@@ -214,9 +229,13 @@ class RunLengthString(FractalString):
         b = int(np.searchsorted(-self._vals, -eps, side="left"))
         return self._vals[:b], self._mult[:b]
 
-    def tail_sum_beyond(self, eps: float) -> float:
-        b = int(np.searchsorted(-self._vals, -eps, side="left"))
-        return float(self._suffix[b])
+    def tail_sum_beyond_index(self, m: int) -> float:
+        m = min(m, self._cum[-1])
+        b = bisect.bisect_left(self._cum, m)
+        tail = float(self._suffix[b])
+        # add the part of block b-1 that lies beyond m
+        over = self._cum[b] - m
+        return tail + over * float(self._vals[b - 1]) if over else tail
 
     def total_length(self) -> float:
         return float(self._suffix[0])
@@ -243,9 +262,19 @@ class RunLengthString(FractalString):
 class AnalyticString(FractalString):
     """String defined by a monotone profile j -> l_j on the whole real ray.
 
-    ``length_fn`` must accept float arrays, ``inv_hint`` returns a real
-    approximation of the j solving l_j = eps, ``tail_fn`` (optional) returns
-    the exact value of sum_{j > m} l_j.
+    ``length_fn`` must accept float arrays, ``tail_fn`` (optional) returns
+    the exact value of sum_{j > m} l_j.  ``inv_hint`` returns a real
+    approximation of the j solving l_j = eps.  ``J`` starts from its floor
+    and gallops outward to a bracket, so it costs O(log |hint error|)
+    evaluations of length_fn: 2 to 3 when the hint is the exact inverse,
+    as for ``make_profile``.
+
+    Below 2^53, ``J`` is exact: the largest j with l_j > eps.  Past 2^53,
+    float(j) merges neighbouring indices and the float profile carries
+    about 1e-14 relative noise, so its crossing of eps is not one index.
+    There ``J`` accepts j = floor(hint) once l(j - s) > eps >= l(j + s) with
+    s = j >> 43, and otherwise gallops as below 2^53: the result lies within
+    a relative 2^-43 of a crossing of the float profile.
     """
 
     def __init__(self, length_fn: Callable, inv_hint: Callable[[float], float],
@@ -269,14 +298,23 @@ class AnalyticString(FractalString):
     def J(self, eps: float) -> int:
         if self._scalar(1.0) <= eps:
             return 0
-        guess = max(1, int(self._inv(eps)))
-        lo = max(1, guess // 2)
-        while lo > 1 and self._scalar(lo) <= eps:
-            lo = max(1, lo // 2)
-        hi = max(guess, lo) + 1
-        while self._scalar(hi) > eps:
-            hi *= 2
-        # largest j with l_j > eps lies in [lo, hi)
+        j = max(1, int(self._inv(eps)))
+        if j >= 2 ** 53:
+            s = j >> 43
+            if self._scalar(j - s) > eps >= self._scalar(j + s):
+                return j
+        # gallop from j to lo < hi with l_lo > eps >= l_hi (l_1 > eps)
+        step = 1
+        if self._scalar(j) > eps:
+            lo, hi = j, j + 1
+            while self._scalar(hi) > eps:
+                lo, step = hi, 2 * step
+                hi = j + step
+        else:
+            lo, hi = j - 1, j
+            while lo > 1 and self._scalar(lo) <= eps:
+                hi, step = lo, 2 * step
+                lo = max(1, j - step)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if self._scalar(mid) > eps:
@@ -300,9 +338,6 @@ class AnalyticString(FractalString):
             return out if np.ndim(t) else float(out[0])
 
         return _em_tail_sum(fn, m)
-
-    def tail_sum_beyond(self, eps: float) -> float:
-        return self.tail_sum_beyond_index(self.J(eps))
 
     def total_length(self) -> float:
         return self._total
@@ -380,8 +415,21 @@ def make_profile(L: float, derived: DerivedFunctions,
 # -- JSON wire format -------------------------------------------------------
 
 
+# keys each string kind defines, "kind" included
+_SPEC_KEYS = {
+    "cantor": ("kind", "depth"),
+    "a_string": ("kind", "a"),
+    "interval": ("kind", "length"),
+    "explicit": ("kind", "lengths"),
+    "profile": ("kind", "gauge", "L", "truncate"),
+}
+
+
 def string_from_json(spec: dict) -> FractalString:
     kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
+        raise ValueError("unknown string kind: %r" % kind)
+    reject_unknown_keys(spec, _SPEC_KEYS[kind], "%s string" % kind)
     if kind == "cantor":
         return make_cantor(int(spec.get("depth", 96)))
     if kind == "a_string":
@@ -390,12 +438,10 @@ def string_from_json(spec: dict) -> FractalString:
         return make_interval(float(spec.get("length", 1.0)))
     if kind == "explicit":
         return ExplicitString(spec["lengths"])
-    if kind == "profile":
-        gauge = gauge_from_json(spec["gauge"])
-        D = 1.0 - gauge.index
-        derived = make_derived(gauge, D)
-        s = make_profile(float(spec.get("L", 1.0)), derived)
-        if "truncate" in spec:
-            return s.truncate(int(spec["truncate"]))
-        return s
-    raise ValueError("unknown string kind: %r" % kind)
+    gauge = gauge_from_json(spec["gauge"])
+    D = 1.0 - gauge.index
+    derived = make_derived(gauge, D)
+    s = make_profile(float(spec.get("L", 1.0)), derived)
+    if "truncate" in spec:
+        return s.truncate(int(spec["truncate"]))
+    return s

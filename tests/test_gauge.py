@@ -6,6 +6,7 @@ import pytest
 from fractal_strings import (DomainError, check_H1, check_H2, check_H3,
                              custom_gauge, gauge_from_json, gauge_to_json,
                              make_derived, power_log, rv_defect)
+from fractal_strings import gauge as gauge_module
 from fractal_strings.errors import ConstructionError
 
 
@@ -86,6 +87,28 @@ def test_h_inv_roundtrip_iterated_log():
     ys = np.geomspace(1e-40, 0.005, 25)
     back = d.H_inv(d.H(ys))
     assert np.max(np.abs(back / ys - 1.0)) < 1e-11
+
+
+@pytest.mark.parametrize("D", [0.3, 0.5, 0.7])
+def test_h_inv_newton_settles_in_few_iterations(monkeypatch, D):
+    # Newton runs in u = ln y, which reaches down to ln(1e-300); one
+    # _iterated_logs call per iteration.  A stop on an absolute step below
+    # one ulp of u runs to the 80-iteration cap, and a bisection fallback
+    # takes about 200 more.
+    d = make_derived(power_log(1.0 - D, [1.0], domain_upper=0.1), D)
+    zs = np.geomspace(d.H(1e-300), d.H_at_y1(), 400)
+    calls = []
+    logs = gauge_module._iterated_logs
+
+    def counted(y, depth):
+        calls.append(1)
+        return logs(y, depth)
+
+    monkeypatch.setattr(gauge_module, "_iterated_logs", counted)
+    for z in zs:
+        calls.clear()
+        d.H_inv(float(z))
+        assert len(calls) <= 8, z
 
 
 def test_h_inv_rejects_out_of_range():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fractal_strings import ExperimentConfig, bundled_examples, run_verify
+from fractal_strings import strings
 from fractal_strings.cli import main
 
 A1_CONFIG = {
@@ -147,6 +148,23 @@ def test_cli_content_rejects_unknown_keys(tmp_path, capsys):
     assert "grids.jfactor" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("part, spec, key", [
+    # a misspelt depth would build the depth-96 string
+    ("string", {"kind": "cantor", "dpeth": 10}, "dpeth"),
+    # truncate belongs to the profile kind; an a_string would stay infinite
+    ("string", {"kind": "a_string", "a": 1.0, "truncate": 5}, "truncate"),
+    # a misspelt log_exponents would build a pure power
+    ("gauge", {"form": "powerlog", "rho": 0.3, "log_exponent": [1.0]},
+     "log_exponent"),
+])
+def test_cli_verify_rejects_unknown_spec_keys(tmp_path, capsys, part, spec, key):
+    path = _write_config(tmp_path, dict(A1_CONFIG, **{part: spec}))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", path])
+    assert exc.value.code == 2
+    assert key in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_cli_zeta(capsys):
     assert main(["zeta", "--D", "0.5"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -181,3 +199,23 @@ def test_cli_exit_code_for_unknown_example(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense", "--example"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name", ["profile_log_D0.3", "profile_log_D0.5",
+                                  "profile_log_D0.7"])
+def test_log_profile_verify_evaluation_budget(monkeypatch, name):
+    # each J starts at the exact inverse, so a verify run costs a few
+    # profile evaluations per sample; bisecting J from hint // 2 takes
+    # 4 to 9 thousand
+    calls = []
+    init = strings.AnalyticString.__init__
+
+    def counting_init(self, length_fn, *args, **kwargs):
+        def counted(js):
+            calls.append(1)
+            return length_fn(js)
+        init(self, counted, *args, **kwargs)
+
+    monkeypatch.setattr(strings.AnalyticString, "__init__", counting_init)
+    run_verify(bundled_examples()[name])
+    assert 0 < len(calls) <= 1200

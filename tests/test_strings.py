@@ -1,14 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import polygamma
 
 from fractal_strings import (AnalyticString, ExplicitString, RunLengthString,
-                             make_a_string, make_cantor, make_interval,
-                             make_profile, make_derived, power_log,
-                             string_from_json)
+                             bundled_examples, make_a_string, make_cantor,
+                             make_interval, make_profile, make_derived,
+                             power_log, string_from_json)
 from fractal_strings.errors import ConstructionError
+from fractal_strings.strings import (_MAX_PANELS, _PANEL_FACTOR, _gauss_panel,
+                                     _panel_integral_to_inf)
 
 
 def test_explicit_sorts_and_counts():
@@ -42,6 +45,9 @@ def test_runlength_agrees_with_flat_expansion():
     for n in (1, 4, 9, 11):
         assert rl.head_sum(n) == pytest.approx(flat.head_sum(n), rel=1e-14)
         assert rl.length(n) == flat.length(n)
+        # n = 9 ends inside the third block
+        assert rl.tail_sum_beyond_index(n) == pytest.approx(
+            flat.tail_sum_beyond_index(n), rel=1e-14)
 
 
 def test_runlength_rejects_bad_blocks():
@@ -133,6 +139,90 @@ def test_profile_counting_consistency():
     for eps in (1e-4, 1e-7, 1e-10):
         J = p.J(eps)
         assert p.length(J) > eps >= p.length(J + 1)
+
+
+def _analytic_cases():
+    power = make_profile(1.0, make_derived(power_log(0.5), 0.5))
+    log = make_profile(1.0, make_derived(power_log(0.3, [1.0]), 0.7))
+    a_string = make_a_string(0.5)
+    return [("profile_power", power, (1e-3, 3e-7, 1e-9)),
+            ("profile_log", log, (1e-3, 1e-5, 3e-6)),
+            ("a_string", a_string, (1e-3, 1e-5, 3.33e-7))]
+
+
+@pytest.mark.parametrize("name, string, epsilons", _analytic_cases())
+def test_analytic_J_matches_dense_scan(name, string, epsilons):
+    for eps in epsilons:
+        n = 64
+        while string.length(n) > eps:
+            n *= 2
+        lengths = string._fn(np.arange(1, n + 1, dtype=float))
+        # a length equal to eps is not counted
+        exact = (lengths[n // 3], lengths[n // 5])
+        for e in (eps, *exact):
+            ref = int(np.count_nonzero(lengths > e))
+            hint = string._inv
+            for inv in (hint, lambda t: 1.0, lambda t: 1000.0 * hint(t),
+                        lambda t: hint(t) / 1000.0):
+                s = AnalyticString(string._fn, inv, total=1.0)
+                assert s.J(e) == ref, (name, e, inv)
+
+
+def test_profile_J_past_2_43():
+    # exact (a crossing of the float profile) below 2^53, and within a
+    # relative 2^-43 of the 50-digit count above it, also from a hint off
+    # by a factor of 2
+    cfg = bundled_examples()["profile_log_D0.7"]
+    p = string_from_json(cfg.string_spec)
+    L = cfg.string_spec["L"]
+    rho = mpmath.mpf(cfg.string_spec["gauge"]["rho"])
+    hint = p._inv
+    with mpmath.workdps(50):
+        for k in (*range(55, 121, 3), 121):
+            eps = 2.0 ** -k
+            y = mpmath.mpf(eps) / L
+            ref = int(mpmath.ceil(y ** rho * mpmath.log(1 / y) / y)) - 1  # 1/H
+            assert ref > 2 ** 43
+            for inv in (hint, lambda t: 2.0 * hint(t), lambda t: hint(t) / 2.0):
+                J = AnalyticString(p._fn, inv, total=1.0).J(eps)
+                if ref < 2 ** 53:
+                    assert p.length(J) > eps >= p.length(J + 1), k
+                else:
+                    assert abs(J - ref) <= ref * 2.0 ** -43, k
+
+
+def _panel_loop(fn, a):
+    """The one-panel-per-call loop that the batched tail integral keeps
+    panel for panel."""
+    total = 0.0
+    lo = a
+    for _ in range(_MAX_PANELS):
+        hi = lo * _PANEL_FACTOR
+        panel = _gauss_panel(fn, lo, hi)
+        total += panel
+        if abs(panel) <= 1e-15 * abs(total) or hi > 1e300:
+            return total
+        lo = hi
+    raise AssertionError("reference loop did not converge")
+
+
+@pytest.mark.parametrize("p", [2.0, 1.43])
+@pytest.mark.parametrize("a", [1.0, 512.0, 1e25])
+def test_batched_tail_integral_matches_panel_loop(p, a):
+    def fn(t):
+        return np.asarray(t, dtype=float) ** -p
+
+    assert _panel_integral_to_inf(fn, a) == _panel_loop(fn, a)
+
+
+def test_batched_tail_integral_stops_at_the_cutoff_panel():
+    def fn(t):
+        t = np.asarray(t, dtype=float)
+        if np.any(t > 1e301):
+            raise AssertionError("node past the 1e300 cut-off panel")
+        return t ** -1.01
+
+    assert _panel_integral_to_inf(fn, 1e280) == _panel_loop(fn, 1e280)
 
 
 def test_analytic_tail_matches_polygamma():
