@@ -5,7 +5,7 @@ generalized contents, Dirichlet spectra, and a joint verification harness.
 
 from .errors import ConstructionError, DomainError, EvaluationError, NumericError
 from .gauge import (DerivedFunctions, GaugeFunction, check_H1, check_H2,
-                    check_H3, custom_gauge, gauge_from_json, gauge_to_json,
+                    check_H3, gauge_from_json, gauge_to_json,
                     make_derived, power_log)
 from .geometry import (ContentEstimate, ScaleGrid, boundary_count,
                        cantor_grid, dimension_estimate, minkowski_estimate,
@@ -32,7 +32,7 @@ __all__ = [
     "RatioVerdict", "RepresentationDecomposition", "RunLengthString",
     "ScaleGrid", "SpectralRecord", "VerificationReport", "ZetaContext",
     "boundary_count", "bundled_examples", "cantor_grid", "check_H1",
-    "check_H2", "check_H3", "classify_ratio", "custom_gauge",
+    "check_H2", "check_H3", "classify_ratio",
     "dimension_estimate", "eigen_count", "eta", "extract_representation",
     "gauge_from_json", "gauge_to_json", "karamata_direct", "make_a_string",
     "make_cantor", "make_derived", "make_interval", "make_profile",

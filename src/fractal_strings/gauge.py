@@ -1,12 +1,11 @@
 """Gauge functions: smoothly varying scale gauges h(y) and their calculus.
 
-A gauge replaces the power ``y**rho`` in content definitions.  The closed-form
+A gauge replaces the power ``y**rho`` in content definitions.  The one
 family implemented here is the iterated power-log family
 
     h(y) = y**rho * prod_i (log_i(1/y))**alpha_i,
 
-where ``log_1(1/y) = ln(1/y)`` and ``log_{i+1} = ln(log_i)``.  Arbitrary
-evaluators are supported through the custom form.
+where ``log_1(1/y) = ln(1/y)`` and ``log_{i+1} = ln(log_i)``.
 """
 
 from __future__ import annotations
@@ -14,21 +13,25 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, EvaluationError
+from .errors import ConstructionError, DomainError, EvaluationError, NumericError
 
-_H_INV_ITERATIONS = 200
-_H_INV_RTOL = 1e-12
 _MONOTONE_SCAN_POINTS = 64
+_NEWTON_ITERATIONS = 40
+# ln of the smallest subnormal float: H_inv's roots lie above it
+_U_FLOOR = math.log(5e-324)
 
 
-def _iterated_logs(y, depth: int):
-    """Return [L_1, ..., L_depth] with L_1 = ln(1/y), L_{i+1} = ln(L_i)."""
+def _iterated_logs(L1, depth: int):
+    """Return [L_1, ..., L_depth] with L_{i+1} = ln(L_i), from L_1 = ln(1/y).
+
+    Callers pass L_1 as -ln(y): 1/y overflows for subnormal y.
+    """
     logs = []
-    cur = np.log(1.0 / np.asarray(y, dtype=float))
+    cur = np.asarray(L1, dtype=float)
     for _ in range(depth):
         logs.append(cur)
         cur = np.log(cur)
@@ -37,38 +40,28 @@ def _iterated_logs(y, depth: int):
 
 @dataclass(frozen=True)
 class GaugeFunction:
-    """A positive gauge h on (0, domain_upper], regularly varying of `index`.
-
-    Power-log gauges leave ``h_fn`` as None; custom gauges supply ``h_fn``
-    (and optionally ``dh_fn``, otherwise a central-difference fallback with
-    one Richardson step is used for the derivative).
-    """
+    """A positive power-log gauge h on (0, domain_upper], regularly varying
+    of `index`, with iterated-log exponents `log_exponents`."""
 
     index: float
     domain_upper: float
     log_exponents: tuple = ()
-    h_fn: Optional[Callable[[float], float]] = None
-    dh_fn: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if not (self.domain_upper > 0):
             raise ConstructionError("domain_upper must be positive")
-        if self.h_fn is None and self.log_exponents:
+        if self.log_exponents:
             # innermost iterated log must be positive on the whole domain
             with np.errstate(divide="ignore", invalid="ignore"):
-                logs = _iterated_logs(self.domain_upper, len(self.log_exponents))
+                logs = _iterated_logs(-np.log(self.domain_upper), len(self.log_exponents))
             if not np.all(np.isfinite(logs[-1])) or logs[-1] <= 0:
                 raise ConstructionError(
                     "domain_upper too large for %d iterated logs" % len(self.log_exponents)
                 )
 
     @property
-    def is_powerlog(self) -> bool:
-        return self.h_fn is None
-
-    @property
     def is_pure_power(self) -> bool:
-        return self.h_fn is None and not self.log_exponents
+        return not self.log_exponents
 
     # -- evaluation ---------------------------------------------------------
 
@@ -81,50 +74,27 @@ class GaugeFunction:
         """Evaluate h(y).  Accepts scalars or numpy arrays."""
         self._check_domain(y)
         arr = np.asarray(y, dtype=float)
-        if self.h_fn is not None:
-            out = np.asarray(self.h_fn(arr), dtype=float)
-        else:
-            out = arr ** self.index
-            if self.log_exponents:
-                for alpha, L in zip(self.log_exponents, _iterated_logs(arr, len(self.log_exponents))):
-                    out = out * L ** alpha
+        out = arr ** self.index
+        if self.log_exponents:
+            for alpha, L in zip(self.log_exponents, _iterated_logs(-np.log(arr), len(self.log_exponents))):
+                out = out * L ** alpha
         if np.any(~np.isfinite(out)) or np.any(out <= 0.0):
             raise EvaluationError("h evaluated non-positive or non-finite")
         return float(out) if np.isscalar(y) else out
 
     def dh(self, y):
-        """Evaluate h'(y); closed form for power-log gauges."""
+        """Evaluate h'(y) = h(y)/y * E_h(y)."""
         self._check_domain(y)
         arr = np.asarray(y, dtype=float)
-        if self.is_powerlog:
-            out = self.h(arr) / arr * self._elasticity_powerlog(arr)
-        elif self.dh_fn is not None:
-            out = np.asarray(self.dh_fn(arr), dtype=float)
-        else:
-            out = self._dh_fallback(arr)
+        out = self.h(arr) / arr * self._elasticity(arr)
         if np.any(~np.isfinite(out)):
             raise EvaluationError("h' evaluated non-finite")
         return float(out) if np.isscalar(y) else out
 
-    def _dh_fallback(self, arr):
-        # central difference with one Richardson extrapolation step
-        step = arr * 1e-5
-        hi = np.minimum(arr + step, self.domain_upper)
-        lo = arr - step
-        d1 = (np.asarray(self.h_fn(hi)) - np.asarray(self.h_fn(lo))) / (hi - lo)
-        step2 = step / 2.0
-        hi2 = np.minimum(arr + step2, self.domain_upper)
-        lo2 = arr - step2
-        d2 = (np.asarray(self.h_fn(hi2)) - np.asarray(self.h_fn(lo2))) / (hi2 - lo2)
-        out = (4.0 * d2 - d1) / 3.0
-        if np.any(~np.isfinite(out)):
-            raise EvaluationError("difference-quotient fallback for h' failed")
-        return out
-
-    def _elasticity_powerlog(self, arr):
+    def _elasticity(self, arr):
         ela = np.full_like(np.asarray(arr, dtype=float), self.index)
         if self.log_exponents:
-            logs = _iterated_logs(arr, len(self.log_exponents))
+            logs = _iterated_logs(-np.log(arr), len(self.log_exponents))
             prod = np.ones_like(ela)
             for alpha, L in zip(self.log_exponents, logs):
                 prod = prod * L
@@ -134,11 +104,7 @@ class GaugeFunction:
     def elasticity(self, y):
         """E_h(y) = y h'(y)/h(y); tends to the variation index as y -> 0."""
         self._check_domain(y)
-        arr = np.asarray(y, dtype=float)
-        if self.is_powerlog:
-            out = self._elasticity_powerlog(arr)
-        else:
-            out = arr * self.dh(arr) / self.h(arr)
+        out = self._elasticity(np.asarray(y, dtype=float))
         return float(out) if np.isscalar(y) else out
 
 
@@ -150,13 +116,20 @@ def power_log(rho: float, log_exponents: Sequence[float] = (), domain_upper: Opt
                          log_exponents=tuple(float(a) for a in log_exponents))
 
 
-def custom_gauge(h: Callable, index: float, domain_upper: float, dh: Optional[Callable] = None) -> GaugeFunction:
-    """Wrap user-supplied evaluators as a gauge of the given variation index."""
-    return GaugeFunction(index=float(index), domain_upper=float(domain_upper),
-                         h_fn=h, dh_fn=dh)
-
-
 # -- derived functions H, H^-1, f, g ---------------------------------------
+
+
+def _ln_H(gauge: GaugeFunction, D: float, u):
+    """ln H and its slope d ln H/du = 1 - E_h at u = ln y, from one
+    _iterated_logs call: ln H = D u - sum_i alpha_i ln L_i."""
+    ln_H = D * u
+    slope = np.full_like(u, D)
+    prod = 1.0
+    for alpha, L in zip(gauge.log_exponents, _iterated_logs(-u, len(gauge.log_exponents))):
+        ln_H = ln_H - alpha * np.log(L)
+        prod = prod * L
+        slope = slope + alpha / prod
+    return ln_H, slope
 
 
 @dataclass(frozen=True)
@@ -172,77 +145,56 @@ class DerivedFunctions:
     y1: float          # H strictly increasing on (0, y1]
     valid_from: float
     H_y1: float        # H(y1), the top of H_inv's domain
+    ln_H_floor: float  # ln H at the smallest subnormal y, below H_inv's domain
 
     def H(self, y):
         return np.asarray(y, dtype=float) / self.gauge.h(y) if not np.isscalar(y) else y / self.gauge.h(y)
 
-    def H_at_y1(self) -> float:
-        return self.H_y1
-
     def H_inv(self, z):
-        """Invert H on (0, y1]: closed form for pure powers, Newton in log
-        coordinates for power-log gauges, geometric bisection for custom
-        gauges.
+        """Invert H on (0, y1]: closed form for pure powers, Newton in
+        u = ln y for power-log gauges.
 
-        Newton in u = ln y stops once every step is at most 4e-16 |u|, a
-        couple of ulps of u; a bound on the absolute step would sit below
-        one ulp when |u| is large.  If the last step still exceeds 1e-9,
-        geometric bisection takes over.
+        The domain is (H(5e-324), H(y1)]: a z whose root underflows below
+        the smallest subnormal, u < ln(5e-324) ~ -744.44, raises DomainError,
+        with ln H at that floor computed as Newton computes it.  Newton stops
+        once every step is at most 4e-16 |u|, a couple of ulps of u, or once
+        the largest relative step is at most 1e-12 and no longer halves: at
+        the rounding floor the step can flip between neighbouring floats
+        forever.  If neither happens within _NEWTON_ITERATIONS iterations,
+        NumericError is raised rather than an unsettled root returned.
         """
         scalar = np.isscalar(z)
         zz = np.atleast_1d(np.asarray(z, dtype=float))
         z_max = self.H_y1
-        if np.any(zz <= 0.0) or np.any(zz > z_max * (1 + 1e-12)):
+        z_lo = float(zz.min(initial=math.inf))
+        if z_lo <= 0.0 or zz.max(initial=0.0) > z_max * (1 + 1e-12):
             raise DomainError("H_inv argument outside admissible range (0, %g]" % z_max)
+        if math.log(z_lo) < self.ln_H_floor:
+            raise DomainError("H_inv argument below H(5e-324) = exp(%.17g); "
+                              "its root underflows" % self.ln_H_floor)
         if self.gauge.is_pure_power:
             # H(y) = y**D exactly
             out = zz ** (1.0 / self.D)
-        elif self.gauge.is_powerlog:
-            out = self._newton_powerlog(zz)
         else:
-            out = self._bisect(zz)
+            out = np.exp(self._newton(np.log(zz)))
         return float(out[0]) if scalar else out
 
-    def _newton_powerlog(self, zz: np.ndarray) -> np.ndarray:
-        """Newton iteration in log coordinates, ln H = D u - sum a_i ln L_i."""
-        g = self.gauge
-        D = self.D
-        alphas = g.log_exponents
+    def _newton(self, ln_z: np.ndarray) -> np.ndarray:
+        """The u = ln y solving ln H(u) = ln_z, by Newton in u."""
         u_hi = math.log(self.y1)
-        u_lo = math.log(1e-300)
-        ln_z = np.log(zz)
-        u = np.clip(ln_z / D, u_lo, u_hi)
-        for _ in range(80):
-            logs = _iterated_logs(np.exp(u), len(alphas))
-            ln_H = D * u
-            slope = np.full_like(u, D)  # d ln H / d u = 1 - E_h
-            prod = 1.0
-            for alpha, L in zip(alphas, logs):
-                ln_H = ln_H - alpha * np.log(L)
-                prod = prod * L
-                slope = slope + alpha / prod
-            step = (ln_H - ln_z) / slope
-            u = np.clip(u - step, u_lo, u_hi)
-            if np.max(np.abs(step) - 4e-16 * np.abs(u)) <= 0.0:
-                break
-        if np.max(np.abs(step)) > 1e-9:
-            return self._bisect(zz)
-        return np.exp(u)
-
-    def _bisect(self, zz: np.ndarray) -> np.ndarray:
-        lo = np.full_like(zz, max(1e-280, self.y1 * 1e-260))
-        hi = np.full_like(zz, self.y1)
-        log_lo = np.log(lo)
-        log_hi = np.log(hi)
-        for _ in range(_H_INV_ITERATIONS):
-            mid = np.exp(0.5 * (log_lo + log_hi))
-            hm = mid / self.gauge.h(mid)
-            take_hi = hm > zz
-            log_hi = np.where(take_hi, np.log(mid), log_hi)
-            log_lo = np.where(take_hi, log_lo, np.log(mid))
-            if np.max(log_hi - log_lo) < _H_INV_RTOL * 1e-3:
-                break
-        return np.exp(0.5 * (log_lo + log_hi))
+        u = np.clip(ln_z / self.D, _U_FLOOR, u_hi)
+        previous = math.inf
+        for _ in range(_NEWTON_ITERATIONS):
+            ln_H, slope = _ln_H(self.gauge, self.D, u)
+            moved = np.clip(u - (ln_H - ln_z) / slope, _U_FLOOR, u_hi)
+            # the step actually taken: 0 where the clip holds u at y1
+            rel = float(np.max(np.abs(moved - u) / np.abs(moved), initial=0.0))
+            u = moved
+            if rel <= 4e-16 or (rel <= 1e-12 and rel > 0.5 * previous):
+                return u
+            previous = rel
+        raise NumericError("H_inv: Newton did not settle within %d iterations"
+                           % _NEWTON_ITERATIONS)
 
     def f(self, x):
         """f(x) = x * h(1/x), defined for x >= 1/domain_upper."""
@@ -288,8 +240,10 @@ def make_derived(gauge: GaugeFunction, D: float) -> DerivedFunctions:
         raise ConstructionError("could not detect a monotone subdomain for H")
     H_y1 = y1 / gauge.h(y1)
     valid_from = max(1.0 / gauge.domain_upper, 1.0 / H_y1)
+    ln_H_floor = _ln_H(gauge, float(D), np.array([_U_FLOOR]))[0][0]
     return DerivedFunctions(gauge=gauge, D=float(D), y1=float(y1),
-                            valid_from=float(valid_from), H_y1=float(H_y1))
+                            valid_from=float(valid_from), H_y1=float(H_y1),
+                            ln_H_floor=float(ln_H_floor))
 
 
 # -- condition checkers (diagnostics, not proofs) --------------------------
@@ -397,8 +351,6 @@ def check_H3(gauge: GaugeFunction, tau: float, m: float,
 
 
 def gauge_to_json(gauge: GaugeFunction) -> dict:
-    if not gauge.is_powerlog:
-        raise ValueError("custom gauges are not serializable")
     return {
         "form": "powerlog",
         "rho": gauge.index,

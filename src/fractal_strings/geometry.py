@@ -52,9 +52,6 @@ class ScaleGrid:
             raise ValueError("ratio must be positive and != 1")
         return cls(scales=start * ratio ** np.arange(n))
 
-    def with_values(self, values: np.ndarray) -> "ScaleGrid":
-        return ScaleGrid(scales=self.scales, values=np.asarray(values, dtype=float))
-
     def to_json(self) -> dict:
         return {"eps0": float(self.scales[0]),
                 "q": float(self.scales[1] / self.scales[0]),
@@ -143,7 +140,8 @@ def minkowski_estimate(string: FractalString, gauge: GaugeFunction,
     lo, hi, verdict, slope = _classify_samples(ratios, scales, band)
     return ContentEstimate(lower=lo, upper=hi, kind="minkowski",
                            gauge_index=gauge.index, verdict=verdict,
-                           grid=grid.with_values(ratios), drift_slope=slope)
+                           grid=ScaleGrid(scales=scales, values=ratios),
+                           drift_slope=slope)
 
 
 def s_estimate(string: FractalString, gauge: GaugeFunction,

@@ -129,14 +129,6 @@ class RatioVerdict:
     grid: ScaleGrid
     values: np.ndarray = field(repr=False, default=None)
 
-    def to_json(self) -> dict:
-        return {
-            "liminf": self.liminf_estimate,
-            "limsup": self.limsup_estimate,
-            "classification": self.classification,
-            "grid": self.grid.scales.tolist(),
-        }
-
 
 def classify_ratio(f1: Callable, f2: Callable, grid: ScaleGrid,
                    band: float = DEFAULT_BAND) -> RatioVerdict:

@@ -233,8 +233,9 @@ def second_term_probe(string: FractalString, derived: DerivedFunctions,
 
 def records_to_csv(records: Sequence[SpectralRecord]) -> str:
     buf = io.StringIO()
-    buf.write("lambda,N,phi,delta,f,remainder_ratio\n")
+    buf.write("lambda,N,phi,delta,f,remainder_ratio,delta_ratio\n")
     for r in records:
-        buf.write("%.15g,%d,%.15g,%.15g,%.15g,%.15g\n"
-                  % (r.lam, r.N, r.phi, r.delta_at, r.f_norm, r.remainder_ratio))
+        buf.write("%.15g,%d,%.15g,%.15g,%.15g,%.15g,%.15g\n"
+                  % (r.lam, r.N, r.phi, r.delta_at, r.f_norm, r.remainder_ratio,
+                     r.delta_ratio))
     return buf.getvalue()

@@ -100,11 +100,13 @@ def _panel_integral(fn: Callable[[float], float], a: float, b: float) -> float:
                      for lo, hi in zip(edges[:-1], edges[1:]))
 
 
-def _em_tail_sum(fn: Callable[[float], float], m: int) -> float:
-    """sum_{j > m} fn(j) for a smooth, eventually power-decaying fn.
+def _em_tail_sum(fn: Callable, m: int) -> float:
+    """sum_{j > m} fn(j) for a smooth, eventually power-decaying fn that
+    takes float arrays.
 
     Direct summation up to a cutoff, then Euler-Maclaurin closure: integral
-    plus the f/2 and f'/12 and f'''/720 correction terms.
+    plus the f/2 and f'/12 and f'''/720 correction terms, whose five
+    points take one fn call.
     """
     M = max(m + 1, 512)
     direct = 0.0
@@ -113,10 +115,10 @@ def _em_tail_sum(fn: Callable[[float], float], m: int) -> float:
         direct = math.fsum(np.asarray(fn(js), dtype=float))
     integral = _panel_integral_to_inf(fn, float(M))
     step = max(M * 1e-4, 1e-4)
-    d1 = (float(fn(M + step)) - float(fn(M - step))) / (2 * step)
-    d3 = (float(fn(M + 2 * step)) - 2 * float(fn(M + step)) + 2 * float(fn(M - step))
-          - float(fn(M - 2 * step))) / (2 * step ** 3)
-    fM = float(fn(float(M)))
+    fM, f1, fm1, f2, fm2 = np.asarray(
+        fn(M + step * np.array([0.0, 1.0, -1.0, 2.0, -2.0])), dtype=float).tolist()
+    d1 = (f1 - fm1) / (2 * step)
+    d3 = (f2 - 2 * f1 + 2 * fm1 - fm2) / (2 * step ** 3)
     return direct + integral + fM / 2.0 - d1 / 12.0 + d3 / 720.0
 
 
@@ -292,32 +294,29 @@ class AnalyticString(FractalString):
             raise IndexError("index must be >= 1")
         return float(self._fn(np.array([float(j)]))[0])
 
-    def _scalar(self, j: float) -> float:
-        return float(self._fn(np.array([float(j)]))[0])
-
     def J(self, eps: float) -> int:
-        if self._scalar(1.0) <= eps:
+        if self.length(1) <= eps:
             return 0
         j = max(1, int(self._inv(eps)))
         if j >= 2 ** 53:
             s = j >> 43
-            if self._scalar(j - s) > eps >= self._scalar(j + s):
+            if self.length(j - s) > eps >= self.length(j + s):
                 return j
         # gallop from j to lo < hi with l_lo > eps >= l_hi (l_1 > eps)
         step = 1
-        if self._scalar(j) > eps:
+        if self.length(j) > eps:
             lo, hi = j, j + 1
-            while self._scalar(hi) > eps:
+            while self.length(hi) > eps:
                 lo, step = hi, 2 * step
                 hi = j + step
         else:
             lo, hi = j - 1, j
-            while lo > 1 and self._scalar(lo) <= eps:
+            while lo > 1 and self.length(lo) <= eps:
                 hi, step = lo, 2 * step
                 lo = max(1, j - step)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if self._scalar(mid) > eps:
+            if self.length(mid) > eps:
                 lo = mid
             else:
                 hi = mid
@@ -331,13 +330,7 @@ class AnalyticString(FractalString):
     def tail_sum_beyond_index(self, m: int) -> float:
         if self._tail is not None:
             return float(self._tail(m))
-
-        def fn(t):
-            arr = np.atleast_1d(np.asarray(t, dtype=float))
-            out = np.asarray(self._fn(arr), dtype=float)
-            return out if np.ndim(t) else float(out[0])
-
-        return _em_tail_sum(fn, m)
+        return _em_tail_sum(self._fn, m)
 
     def total_length(self) -> float:
         return self._total

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fractal_strings import (DomainError, check_H1, check_H2, check_H3,
-                             custom_gauge, gauge_from_json, gauge_to_json,
+from fractal_strings import (DomainError, NumericError, check_H1, check_H2,
+                             check_H3, gauge_from_json, gauge_to_json,
                              make_derived, power_log, rv_defect)
 from fractal_strings import gauge as gauge_module
 from fractal_strings.errors import ConstructionError
@@ -63,10 +63,12 @@ def test_dh_closed_form_vs_difference_quotient():
     assert g.dh(y) == pytest.approx(numeric, rel=1e-6)
 
 
-def test_custom_gauge_derivative_fallback():
-    g = custom_gauge(lambda y: np.sqrt(y), index=0.5, domain_upper=1.0)
-    y = 0.04
-    assert g.dh(y) == pytest.approx(0.5 / math.sqrt(y), rel=1e-9)
+def test_h_at_subnormal_y():
+    # ln(1/y) through 1/y overflows below 5.6e-309; -ln(y) does not
+    g = power_log(0.3, [1.0], domain_upper=0.1)
+    for y in (5e-324, 1e-310):
+        assert g.h(y) == pytest.approx(y ** 0.3 * -math.log(y), rel=1e-13)
+    assert g.h(5e-324) == pytest.approx(7.585e-95, rel=1e-3)
 
 
 def test_h_inv_pure_power_closed_form():
@@ -89,14 +91,28 @@ def test_h_inv_roundtrip_iterated_log():
     assert np.max(np.abs(back / ys - 1.0)) < 1e-11
 
 
-@pytest.mark.parametrize("D", [0.3, 0.5, 0.7])
-def test_h_inv_newton_settles_in_few_iterations(monkeypatch, D):
-    # Newton runs in u = ln y, which reaches down to ln(1e-300); one
+# the three bundled log gauges (ids by D), then seven more: iterated logs,
+# large and negative exponents, and D near 1
+_NEWTON_GAUGES = [
+    pytest.param(D, [1.0], 0.1, id=str(D)) for D in (0.3, 0.5, 0.7)
+] + [
+    pytest.param(D, alphas, 0.05,
+                 id="%g-%s" % (D, "_".join("%g" % a for a in alphas)))
+    for D, alphas in ((0.5, [2.5]), (0.5, [-1.0]), (0.3, [1.0, 0.5]),
+                      (0.5, [1.0, -2.0]), (0.5, [0.5, 1.5, 1.0]),
+                      (0.5, [1.0, 1.0, 1.0]), (0.9, [-0.5]))
+]
+
+
+@pytest.mark.parametrize("D, alphas, upper", _NEWTON_GAUGES)
+def test_h_inv_newton_settles_in_few_iterations(monkeypatch, D, alphas, upper):
+    # Newton runs in u = ln y, which reaches down to ln(5e-324); one
     # _iterated_logs call per iteration.  A stop on an absolute step below
-    # one ulp of u runs to the 80-iteration cap, and a bisection fallback
-    # takes about 200 more.
-    d = make_derived(power_log(1.0 - D, [1.0], domain_upper=0.1), D)
-    zs = np.geomspace(d.H(1e-300), d.H_at_y1(), 400)
+    # one ulp of u runs to the iteration cap, and so does a relative stop
+    # at 4e-16 |u| alone where the step flips between neighbouring floats
+    # (z = 1.2705049e-9 on the [0.5, 1.5, 1] gauge).
+    d = make_derived(power_log(1.0 - D, alphas, domain_upper=upper), D)
+    zs = np.append(np.geomspace(1.000001 * d.H(5e-324), d.H_y1, 400), 1.2705049e-9)
     calls = []
     logs = gauge_module._iterated_logs
 
@@ -107,14 +123,40 @@ def test_h_inv_newton_settles_in_few_iterations(monkeypatch, D):
     monkeypatch.setattr(gauge_module, "_iterated_logs", counted)
     for z in zs:
         calls.clear()
-        d.H_inv(float(z))
+        y = d.H_inv(float(z))
         assert len(calls) <= 8, z
+        assert y > 0.0
+    calls.clear()
+    d.H_inv(zs)
+    assert len(calls) <= 8
+
+
+def test_h_inv_deep_roots_and_the_underflow_floor():
+    d = make_derived(power_log(0.3, [1.0], domain_upper=0.1), 0.7)
+    y = d.H_inv(7.2e-214)
+    assert 1e-301 < y < 1e-300
+    assert d.H(y) / 7.2e-214 - 1.0 == pytest.approx(0.0, abs=1e-12)
+    # the smallest subnormal root still inverts
+    assert d.H_inv(1.000001 * d.H(5e-324)) == 5e-324
+    for z in (1e-250, 1e-300, np.array([1e-3, 1e-250])):
+        with pytest.raises(DomainError):
+            d.H_inv(z)
+    # a pure power's closed-form root would underflow to 0.0
+    with pytest.raises(DomainError):
+        make_derived(power_log(0.5), 0.5).H_inv(1e-200)
+
+
+def test_h_inv_unsettled_newton_raises(monkeypatch):
+    d = make_derived(power_log(0.5, [1.0]), 0.5)
+    monkeypatch.setattr(gauge_module, "_NEWTON_ITERATIONS", 1)
+    with pytest.raises(NumericError):
+        d.H_inv(1e-9)
 
 
 def test_h_inv_rejects_out_of_range():
     d = make_derived(power_log(0.5), 0.5)
     with pytest.raises(DomainError):
-        d.H_inv(d.H_at_y1() * 2.0)
+        d.H_inv(d.H_y1 * 2.0)
     with pytest.raises(DomainError):
         d.H_inv(0.0)
 
@@ -147,9 +189,8 @@ def test_check_H1_on_increasing_gauge():
 
 
 def test_check_H1_flags_decreasing_function():
-    g = custom_gauge(lambda y: 1.0 / np.asarray(y, dtype=float) ** 0.1,
-                     index=-0.1, domain_upper=1.0)
-    assert not check_H1(g).satisfied
+    # h(y) = y^-0.1 decreases
+    assert not check_H1(power_log(-0.1)).satisfied
 
 
 def test_check_H2_defect_shrinks_toward_zero():

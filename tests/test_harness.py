@@ -129,7 +129,7 @@ def test_cli_spectrum_csv(tmp_path, capsys):
     assert main(["spectrum", path, "--lmin", "1e4", "--lmax", "1e6",
                  "--steps", "9"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
-    assert lines[0] == "lambda,N,phi,delta,f,remainder_ratio"
+    assert lines[0] == "lambda,N,phi,delta,f,remainder_ratio,delta_ratio"
     assert len(lines) == 10
 
 

@@ -155,10 +155,3 @@ def test_classify_ratio_validates_inputs():
     grid = ScaleGrid.geometric(10.0, 2.0, 12)
     with pytest.raises(ValueError):
         classify_ratio(lambda x: x, lambda x: -np.asarray(x, dtype=float), grid)
-
-
-def test_ratio_verdict_json():
-    grid = ScaleGrid.geometric(10.0, 2.0, 12)
-    out = classify_ratio(lambda x: x, lambda x: x, grid).to_json()
-    assert out["classification"] == "equivalent"
-    assert len(out["grid"]) == 12

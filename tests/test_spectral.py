@@ -119,13 +119,15 @@ def test_second_term_probe_tracks_target():
 def test_records_to_csv_format():
     s = make_a_string(1.0)
     d = make_derived(power_log(0.5), 0.5)
-    text = records_to_csv(second_term_probe(s, d, [1e4, 1e6]))
+    records = second_term_probe(s, d, [1e4, 1e6])
+    text = records_to_csv(records)
     lines = text.strip().split("\n")
-    assert lines[0] == "lambda,N,phi,delta,f,remainder_ratio"
+    assert lines[0] == "lambda,N,phi,delta,f,remainder_ratio,delta_ratio"
     assert len(lines) == 3
     first = lines[1].split(",")
     assert float(first[0]) == 1e4
     assert first[1] == str(eigen_count(s, 1e4))
+    assert float(first[6]) == pytest.approx(records[0].delta_ratio, rel=1e-14)
 
 
 @st.composite
