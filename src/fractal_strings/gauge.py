@@ -157,11 +157,12 @@ class DerivedFunctions:
         The domain is (H(5e-324), H(y1)]: a z whose root underflows below
         the smallest subnormal, u < ln(5e-324) ~ -744.44, raises DomainError,
         with ln H at that floor computed as Newton computes it.  Newton stops
-        once every step is at most 4e-16 |u|, a couple of ulps of u, or once
-        the largest relative step is at most 1e-12 and no longer halves: at
+        an element once its step is at most 4e-16 |u|, a couple of ulps of u,
+        or once its relative step is at most 1e-12 and no longer halves: at
         the rounding floor the step can flip between neighbouring floats
-        forever.  If neither happens within _NEWTON_ITERATIONS iterations,
-        NumericError is raised rather than an unsettled root returned.
+        forever.  If an element does neither within _NEWTON_ITERATIONS
+        iterations, NumericError is raised rather than an unsettled root
+        returned.
         """
         scalar = np.isscalar(z)
         zz = np.atleast_1d(np.asarray(z, dtype=float))
@@ -180,17 +181,23 @@ class DerivedFunctions:
         return float(out[0]) if scalar else out
 
     def _newton(self, ln_z: np.ndarray) -> np.ndarray:
-        """The u = ln y solving ln H(u) = ln_z, by Newton in u."""
+        """The u = ln y solving ln H(u) = ln_z, by Newton in u.
+
+        Each element stops on its own steps, so its root does not depend on
+        the other elements of the call.
+        """
         u_hi = math.log(self.y1)
         u = np.clip(ln_z / self.D, _U_FLOOR, u_hi)
-        previous = math.inf
+        previous = np.full(u.shape, math.inf)
+        live = np.ones(u.shape, dtype=bool)
         for _ in range(_NEWTON_ITERATIONS):
             ln_H, slope = _ln_H(self.gauge, self.D, u)
             moved = np.clip(u - (ln_H - ln_z) / slope, _U_FLOOR, u_hi)
             # the step actually taken: 0 where the clip holds u at y1
-            rel = float(np.max(np.abs(moved - u) / np.abs(moved), initial=0.0))
-            u = moved
-            if rel <= 4e-16 or (rel <= 1e-12 and rel > 0.5 * previous):
+            rel = np.abs(moved - u) / np.abs(moved)
+            np.copyto(u, moved, where=live)
+            live &= ~((rel <= 4e-16) | ((rel <= 1e-12) & (rel > 0.5 * previous)))
+            if not live.any():
                 return u
             previous = rel
         raise NumericError("H_inv: Newton did not settle within %d iterations"

@@ -83,17 +83,24 @@ class ContentEstimate:
         return out
 
 
-def tube_volume(string: FractalString, eps: float) -> float:
-    """V(eps) = sum_j min(l_j, 2 eps) = tail beyond 2 eps + 2 eps J(2 eps)."""
-    if eps <= 0:
+def tube_volume(string: FractalString, eps):
+    """V(eps) = sum_j min(l_j, 2 eps) = tail beyond 2 eps + 2 eps J(2 eps).
+
+    eps may be an array of scales, which takes one J and one tail call and
+    gives the array of volumes.
+    """
+    eps = np.asarray(eps, dtype=float)
+    if np.any(eps <= 0):
         raise ValueError("eps must be positive")
     j = string.J(2.0 * eps)
-    return string.tail_sum_beyond_index(j) + 2.0 * eps * j
+    return string.tail_sum_beyond_index(j) + 2.0 * eps * np.asarray(j, dtype=float)
 
 
-def boundary_count(string: FractalString, eps: float) -> int:
-    """Points of the boundary of the eps-parallel set inside the string: 2 J(2 eps)."""
-    if eps <= 0:
+def boundary_count(string: FractalString, eps):
+    """Points of the boundary of the eps-parallel set inside the string:
+    2 J(2 eps), an exact int, or an object array of them for an array eps."""
+    eps = np.asarray(eps, dtype=float)
+    if np.any(eps <= 0):
         raise ValueError("eps must be positive")
     return 2 * string.J(2.0 * eps)
 
@@ -136,7 +143,7 @@ def minkowski_estimate(string: FractalString, gauge: GaugeFunction,
     scales = grid.scales
     if scales.max() > gauge.domain_upper:
         raise DomainError("grid scales exceed the gauge domain")
-    ratios = np.array([tube_volume(string, e) for e in scales]) / np.atleast_1d(gauge.h(scales))
+    ratios = tube_volume(string, scales) / gauge.h(scales)
     lo, hi, verdict, slope = _classify_samples(ratios, scales, band)
     return ContentEstimate(lower=lo, upper=hi, kind="minkowski",
                            gauge_index=gauge.index, verdict=verdict,
@@ -157,7 +164,7 @@ def s_estimate(string: FractalString, gauge: GaugeFunction,
     if not np.any(keep):
         raise NumericError("h' vanishes at every sampled scale")
     scales = scales[keep]
-    counts = np.array([boundary_count(string, e) for e in scales], dtype=float)
+    counts = np.asarray(boundary_count(string, scales), dtype=float)
     ratios = counts / dh[keep]
     lo, hi, verdict, slope = _classify_samples(ratios, scales, band)
     return ContentEstimate(lower=lo, upper=hi, kind="s",
@@ -171,7 +178,7 @@ def dimension_estimate(string: FractalString, grid: ScaleGrid) -> float:
     scales = np.sort(grid.scales)[::-1]
     if math.log10(scales[0] / scales[-1]) < 3.0:
         raise ValueError("grid must span at least 3 decades")
-    volumes = np.array([tube_volume(string, e) for e in scales])
+    volumes = tube_volume(string, scales)
     n = scales.size
     sl = slice(n // 3, None)  # trailing two-thirds (smallest scales)
     x = np.log(scales[sl])

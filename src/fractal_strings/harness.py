@@ -172,7 +172,7 @@ def run_verify(config: ExperimentConfig) -> VerificationReport:
     L_hat = None
     if js.size >= 9:
         j_grid = ScaleGrid(scales=js.astype(float))
-        lengths = np.array([string.length(int(j)) for j in js])
+        lengths = string.length(js)
         g_vals = derived.g(js.astype(float))
         assertions["iii"] = _ratio_assertion(
             "l_j against g(j)", lambda t: lengths, lambda t: g_vals, j_grid, band)

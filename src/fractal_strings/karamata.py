@@ -113,7 +113,7 @@ def tail_sum_rv(g: Callable, rho: float, k: int):
         raise ValueError(
             "g does not look regularly varying with index %g (local index %.3f)"
             % (rho, local_index))
-    total = _em_tail_sum(g, k - 1)
+    total = float(_em_tail_sum(g, [k - 1])[0])
     predicted = -1.0 / (rho + 1.0) * k * gk
     return total, predicted
 

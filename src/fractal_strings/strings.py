@@ -3,12 +3,16 @@
 Three backends are provided.  Explicit stores the lengths outright,
 RunLength stores (length, multiplicity) blocks (the natural encoding for
 self-similar strings), and Analytic wraps a closed-form monotone profile
-j -> l_j with exact or Euler-Maclaurin tail sums.
+j -> l_j with exact or Euler-Maclaurin tail sums; a gauge profile takes
+its tail integral on the gauge side, by quadrature in ln(1/y).
+
+``length``, ``J`` and ``tail_sum_beyond_index`` take one index or eps, or
+an array of them: an array gives an array of its shape, a scalar a Python
+scalar.  Counts are exact Python ints, in object arrays, also past 2^63.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from typing import Callable, Optional, Sequence, Tuple
@@ -16,8 +20,8 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConstructionError, NumericError
-from .gauge import (DerivedFunctions, gauge_from_json, make_derived,
-                    reject_unknown_keys)
+from .gauge import (DerivedFunctions, GaugeFunction, _iterated_logs,
+                    gauge_from_json, make_derived, reject_unknown_keys)
 
 
 def _compensated_suffix_sums(values: np.ndarray) -> np.ndarray:
@@ -39,7 +43,34 @@ def _compensated_suffix_sums(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _shaped(values: np.ndarray, shape: tuple):
+    """values in the argument's shape, or a Python scalar for a scalar."""
+    return values.reshape(shape) if shape else values.item()
+
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+
+
+def _exp_rule():
+    """Nodes and weights for int_0^inf e^-s r(s) ds: the 32-point
+    Gauss-Legendre rule on the panels [0, 1], [1, 2], [2, 4], ..., [128, 256].
+
+    A gauge-side ratio r grows like a power of s and is singular at
+    s = -rho ln(1/Y), which nears 0 for small rho.  Each doubling panel is
+    at least its own width from that point, where Gauss-Laguerre alone
+    loses up to seven digits (1e-7 at the domain top of rho = 0.1,
+    alpha = -0.5).  Beyond 256, e^-s is below 1e-111.
+    """
+    edges = np.array([0.0, *2.0 ** np.arange(9)])
+    lo, hi = edges[:-1, None], edges[1:, None]
+    nodes = (0.5 * (lo + hi) + 0.5 * (hi - lo) * _GL_NODES).ravel()
+    return nodes, (0.5 * (hi - lo) * _GL_WEIGHTS).ravel() * np.exp(-nodes)
+
+
+_EXP_NODES, _EXP_WEIGHTS = _exp_rule()
+_EM_OFFSETS = np.arange(5.0)
+# float(j) is exact below it, and J the exact count
+_EXACT_INDEX = 2 ** 53
 _PANEL_FACTOR = 8.0
 _MAX_PANELS = 250
 _PANEL_BATCH = 8
@@ -100,35 +131,67 @@ def _panel_integral(fn: Callable[[float], float], a: float, b: float) -> float:
                      for lo, hi in zip(edges[:-1], edges[1:]))
 
 
-def _em_tail_sum(fn: Callable, m: int) -> float:
-    """sum_{j > m} fn(j) for a smooth, eventually power-decaying fn that
-    takes float arrays.
+def _em_tail_sum(fn: Callable, ms: Sequence[int],
+                 integral: Optional[Callable] = None) -> np.ndarray:
+    """sum_{j > m} fn(j) for each m in ms, for a smooth, eventually
+    power-decaying fn that takes float arrays.
 
-    Direct summation up to a cutoff, then Euler-Maclaurin closure: integral
-    plus the f/2 and f'/12 and f'''/720 correction terms, whose five
-    points take one fn call.
+    Direct summation up to M = max(m + 1, 512), then the Euler-Maclaurin
+    closure from M: the integral from M to infinity plus the f/2, f'/12
+    and f'''/720 correction terms, the derivatives by forward differences
+    so that no point lies below M.  The direct terms and the five closure
+    points of every m take one fn call.  ``integral(M, fn(M))`` gives the
+    integrals for an array of M; without it, Gauss-Legendre panels
+    integrate fn.
     """
-    M = max(m + 1, 512)
-    direct = 0.0
-    if M > m + 1:
-        js = np.arange(m + 1, M, dtype=float)
-        direct = math.fsum(np.asarray(fn(js), dtype=float))
-    integral = _panel_integral_to_inf(fn, float(M))
-    step = max(M * 1e-4, 1e-4)
-    fM, f1, fm1, f2, fm2 = np.asarray(
-        fn(M + step * np.array([0.0, 1.0, -1.0, 2.0, -2.0])), dtype=float).tolist()
-    d1 = (f1 - fm1) / (2 * step)
-    d3 = (f2 - 2 * f1 + 2 * fm1 - fm2) / (2 * step ** 3)
-    return direct + integral + fM / 2.0 - d1 / 12.0 + d3 / 720.0
+    ms = [int(m) for m in ms]
+    tops = [max(m + 1, 512) for m in ms]
+    M = np.array(tops, dtype=float)
+    step = np.maximum(M * 1e-4, 1e-4)
+    points = M[:, None] + step[:, None] * _EM_OFFSETS
+    direct = [np.arange(m + 1, top, dtype=float) for m, top in zip(ms, tops)]
+    values = np.asarray(fn(np.concatenate([points.ravel(), *direct])), dtype=float)
+    f0, f1, f2, f3, f4 = values[:points.size].reshape(points.shape).T
+    ends = np.cumsum([points.size] + [d.size for d in direct]).tolist()
+    sums = np.array([math.fsum(values[lo:hi]) for lo, hi in zip(ends, ends[1:])])
+    if integral is None:
+        integrals = np.array([_panel_integral_to_inf(fn, a) for a in M.tolist()])
+    else:
+        integrals = integral(M, f0)
+    d1 = (-25 * f0 + 48 * f1 - 36 * f2 + 16 * f3 - 3 * f4) / (12 * step)
+    d3 = (-5 * f0 + 18 * f1 - 24 * f2 + 14 * f3 - 3 * f4) / (2 * step ** 3)
+    return sums + integrals + f0 / 2.0 - d1 / 12.0 + d3 / 720.0
+
+
+def _gauge_side_integral(gauge: GaugeFunction, Y: np.ndarray) -> np.ndarray:
+    """int_0^Y h(y)/y dy - h(Y) for an array of Y in (0, y1].
+
+    This is int_M^inf g(t) dt for Y = g(M), by parts with t = h(y)/y
+    (Bingham-Goldie-Teugels, Regular Variation, 1.5-1.6).  With
+    y = Y e^(-s/rho), u = ln(1/Y) and phi = prod_i L_i^alpha_i it equals
+    h(Y) (1 - rho + int_0^inf e^-s (phi(u + s/rho)/phi(u) - 1) ds) / rho,
+    which never forms y below Y; a pure power needs no quadrature.  The
+    integrand of a row is summed on its own, so a row's value does not
+    depend on the other Y.
+    """
+    rho = gauge.index
+    u = -np.log(Y)
+    depth = len(gauge.log_exponents)
+    log_ratio = np.zeros((u.size, _EXP_NODES.size))
+    for alpha, L_Y, L_s in zip(gauge.log_exponents, _iterated_logs(u, depth),
+                               _iterated_logs(u[:, None] + _EXP_NODES / rho, depth)):
+        log_ratio += alpha * np.log(L_s / L_Y[:, None])
+    excess = np.sum(np.expm1(log_ratio) * _EXP_WEIGHTS, axis=1)
+    return gauge.h(Y) * (1.0 - rho + excess) / rho
 
 
 class FractalString:
     """Base interface: a non-increasing positive sequence l_1 >= l_2 >= ... ."""
 
-    def length(self, j: int) -> float:
+    def length(self, j):
         raise NotImplementedError
 
-    def J(self, eps: float) -> int:
+    def J(self, eps):
         """Number of lengths strictly larger than eps."""
         raise NotImplementedError
 
@@ -137,11 +200,11 @@ class FractalString:
         as arrays; run-length multiplicities are exact Python ints."""
         raise NotImplementedError
 
-    def tail_sum_beyond(self, eps: float) -> float:
+    def tail_sum_beyond(self, eps):
         """sum_{j > J(eps)} l_j."""
         return self.tail_sum_beyond_index(self.J(eps))
 
-    def tail_sum_beyond_index(self, m: int) -> float:
+    def tail_sum_beyond_index(self, m):
         """sum_{j > m} l_j."""
         raise NotImplementedError
 
@@ -157,10 +220,10 @@ class FractalString:
         return None
 
     def truncate(self, n: int) -> "ExplicitString":
+        """The first n lengths, from one ``length`` call."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        vals = np.array([self.length(j) for j in range(1, n + 1)])
-        return ExplicitString(vals)
+        return ExplicitString(self.length(np.arange(1, n + 1)))
 
 
 class ExplicitString(FractalString):
@@ -171,20 +234,24 @@ class ExplicitString(FractalString):
         self._vals = vals
         self._suffix = _compensated_suffix_sums(vals)
 
-    def length(self, j: int) -> float:
-        if not 1 <= j <= self._vals.size:
-            raise IndexError("index %d beyond string of %d lengths" % (j, self._vals.size))
-        return float(self._vals[j - 1])
+    def length(self, j):
+        jj = np.asarray(j)
+        if np.any((jj < 1) | (jj > self._vals.size)):
+            raise IndexError("index beyond string of %d lengths" % self._vals.size)
+        return _shaped(self._vals[jj.astype(np.int64).ravel() - 1], jj.shape)
 
-    def J(self, eps: float) -> int:
-        return int(np.searchsorted(-self._vals, -eps, side="left"))
+    def J(self, eps):
+        e = np.asarray(eps, dtype=float)
+        return _shaped(np.searchsorted(-self._vals, -e.ravel(), side="left").astype(object),
+                       e.shape)
 
     def runs_above(self, eps: float):
         j = self.J(eps)
         return self._vals[:j], np.ones(j)
 
-    def tail_sum_beyond_index(self, m: int) -> float:
-        return float(self._suffix[min(m, self._vals.size)])
+    def tail_sum_beyond_index(self, m):
+        mm = np.minimum(np.asarray(m, dtype=object).ravel(), self._vals.size)
+        return _shaped(self._suffix[mm.astype(np.int64)], np.shape(m))
 
     def total_length(self) -> float:
         return float(self._suffix[0])
@@ -216,35 +283,38 @@ class RunLengthString(FractalString):
             raise ConstructionError("lengths positive, multiplicities >= 1 required")
         self._vals = vals
         self._mult = mult
-        self._cum = [0, *itertools.accumulate(mult)]
+        self._cum = np.array([0, *itertools.accumulate(mult)], dtype=object)
         self._suffix = _compensated_suffix_sums(vals * mult.astype(float))
 
-    def length(self, j: int) -> float:
-        if not 1 <= j <= self._cum[-1]:
-            raise IndexError("index %d beyond string of %d lengths" % (j, self._cum[-1]))
-        return float(self._vals[bisect.bisect_left(self._cum, j) - 1])
+    def length(self, j):
+        jj = np.asarray(j)
+        if np.any((jj < 1) | (jj > self._cum[-1])):
+            raise IndexError("index beyond string of %d lengths" % self._cum[-1])
+        b = np.searchsorted(self._cum, jj.ravel(), side="left")
+        return _shaped(self._vals[b - 1], jj.shape)
 
-    def J(self, eps: float) -> int:
-        return self._cum[int(np.searchsorted(-self._vals, -eps, side="left"))]
+    def J(self, eps):
+        e = np.asarray(eps, dtype=float)
+        return _shaped(self._cum[np.searchsorted(-self._vals, -e.ravel(), side="left")],
+                       e.shape)
 
     def runs_above(self, eps: float):
         b = int(np.searchsorted(-self._vals, -eps, side="left"))
         return self._vals[:b], self._mult[:b]
 
-    def tail_sum_beyond_index(self, m: int) -> float:
-        m = min(m, self._cum[-1])
-        b = bisect.bisect_left(self._cum, m)
-        tail = float(self._suffix[b])
+    def tail_sum_beyond_index(self, m):
+        mm = np.minimum(np.asarray(m, dtype=object).ravel(), self._cum[-1])
+        b = np.searchsorted(self._cum, mm, side="left")
         # add the part of block b-1 that lies beyond m
-        over = self._cum[b] - m
-        return tail + over * float(self._vals[b - 1]) if over else tail
+        over = np.asarray(self._cum[b] - mm, dtype=float)
+        return _shaped(self._suffix[b] + over * self._vals[b - 1], np.shape(m))
 
     def total_length(self) -> float:
         return float(self._suffix[0])
 
     def head_sum(self, n: int) -> float:
         n = min(n, self._cum[-1])
-        b = bisect.bisect_left(self._cum, n)
+        b = int(np.searchsorted(self._cum, n, side="left"))
         partial = float(self._suffix[0] - self._suffix[b])
         # subtract the part of block b-1 that lies beyond n
         over = self._cum[b] - n
@@ -264,12 +334,15 @@ class RunLengthString(FractalString):
 class AnalyticString(FractalString):
     """String defined by a monotone profile j -> l_j on the whole real ray.
 
-    ``length_fn`` must accept float arrays, ``tail_fn`` (optional) returns
-    the exact value of sum_{j > m} l_j.  ``inv_hint`` returns a real
-    approximation of the j solving l_j = eps.  ``J`` starts from its floor
-    and gallops outward to a bracket, so it costs O(log |hint error|)
-    evaluations of length_fn: 2 to 3 when the hint is the exact inverse,
-    as for ``make_profile``.
+    ``length_fn`` must accept float arrays; ``tail_fn`` (optional) returns
+    the exact sum_{j > m} l_j for what ``tail_sum_beyond_index`` is given,
+    an int m or an array of them.  ``inv_hint`` maps a float array of eps
+    to real approximations of the j solving l_j = eps.  ``J`` tests the
+    floors j of all of them in one length_fn call: j passes when
+    l_j > eps >= l_(j+1), and j - 1 when l_(j-1) > eps >= l_j (a tie that
+    the hint rounded up onto).  Any other start gallops outward to a
+    bracket, in O(log |hint error|) scalar evaluations; with the exact
+    inverse as hint, as for ``make_profile``, that is rare.
 
     Below 2^53, ``J`` is exact: the largest j with l_j > eps.  Past 2^53,
     float(j) merges neighbouring indices and the float profile carries
@@ -279,8 +352,8 @@ class AnalyticString(FractalString):
     a relative 2^-43 of a crossing of the float profile.
     """
 
-    def __init__(self, length_fn: Callable, inv_hint: Callable[[float], float],
-                 tail_fn: Optional[Callable[[int], float]] = None,
+    def __init__(self, length_fn: Callable, inv_hint: Callable,
+                 tail_fn: Optional[Callable] = None,
                  total: Optional[float] = None):
         self._fn = length_fn
         self._inv = inv_hint
@@ -289,20 +362,39 @@ class AnalyticString(FractalString):
             total = self.head_sum(1024) + self.tail_sum_beyond_index(1024)
         self._total = float(total)
 
-    def length(self, j: int) -> float:
-        if j < 1:
+    def length(self, j):
+        jj = np.asarray(j)
+        if np.any(jj < 1):
             raise IndexError("index must be >= 1")
-        return float(self._fn(np.array([float(j)]))[0])
+        values = np.asarray(self._fn(jj.astype(float).ravel()), dtype=float)
+        return _shaped(values, jj.shape)
 
-    def J(self, eps: float) -> int:
-        if self.length(1) <= eps:
-            return 0
-        j = max(1, int(self._inv(eps)))
-        if j >= 2 ** 53:
-            s = j >> 43
-            if self.length(j - s) > eps >= self.length(j + s):
-                return j
-        # gallop from j to lo < hi with l_lo > eps >= l_hi (l_1 > eps)
+    def J(self, eps):
+        e = np.asarray(eps, dtype=float)
+        hints = np.broadcast_to(np.asarray(self._inv(e.ravel()), dtype=float), e.size)
+        starts = [max(1, int(h)) for h in hints.tolist()]
+        spans = [j >> 43 if j >= _EXACT_INDEX else 1 for j in starts]
+        # l_1, then l(j - s), l(j) and l(j + s) for every start j
+        index = ([1] + [max(1, j - s) for j, s in zip(starts, spans)] + starts
+                 + [j + s for j, s in zip(starts, spans)])
+        values = np.asarray(self._fn(np.array(index, dtype=float)), dtype=float)
+        brackets = values[1:].reshape(3, -1).T.tolist()
+        out = np.zeros(e.size, dtype=object)
+        for i, (x, j, (lo, mid, hi)) in enumerate(zip(e.ravel().tolist(), starts, brackets)):
+            exact = j < _EXACT_INDEX
+            if values[0] <= x:
+                continue
+            if (mid if exact else lo) > x >= hi:
+                out[i] = j
+            elif exact and lo > x >= mid:
+                out[i] = j - 1  # the hint rounded up onto a tie l_j = eps
+            else:
+                out[i] = self._gallop(x, j)
+        return _shaped(out, e.shape)
+
+    def _gallop(self, eps: float, j: int) -> int:
+        """The J of eps found from j by galloping to lo < hi with
+        l_lo > eps >= l_hi (l_1 > eps), then bisecting."""
         step = 1
         if self.length(j) > eps:
             lo, hi = j, j + 1
@@ -327,10 +419,10 @@ class AnalyticString(FractalString):
         js = np.arange(1, j + 1, dtype=float)
         return np.asarray(self._fn(js), dtype=float), np.ones(j)
 
-    def tail_sum_beyond_index(self, m: int) -> float:
+    def tail_sum_beyond_index(self, m):
         if self._tail is not None:
-            return float(self._tail(m))
-        return _em_tail_sum(self._fn, m)
+            return self._tail(m)
+        return _shaped(_em_tail_sum(self._fn, np.ravel(m)), np.shape(m))
 
     def total_length(self) -> float:
         return self._total
@@ -368,17 +460,19 @@ def make_a_string(a: float) -> AnalyticString:
         return (a / eps) ** (1.0 / (a + 1.0))
 
     def tail_fn(m):
-        return float(m + 1) ** -a
+        return _shaped(np.array([float(k + 1) ** -a for k in np.ravel(m)]), np.shape(m))
 
     return AnalyticString(length_fn, inv_hint, tail_fn=tail_fn, total=1.0)
 
 
-def make_profile(L: float, derived: DerivedFunctions,
-                 j_max: Optional[int] = None) -> AnalyticString:
-    """String with l_j = L*g(j) beyond valid_from, clamped constant before.
+def make_profile(L: float, derived: DerivedFunctions) -> AnalyticString:
+    """String with l_j = L*g(j) from j0 = ceil(valid_from), clamped
+    constant at L*g(j0) before.
 
     g decays with index -1/D < -1, so the string is summable; the finite
-    prefix keeps the sequence non-increasing from j = 1.
+    prefix keeps the sequence non-increasing from j = 1.  Tail sums count
+    the clamped prefix exactly and close the rest by Euler-Maclaurin from
+    M >= j0, with the integral taken on the gauge side.
     """
     if L <= 0:
         raise ValueError("L must be positive")
@@ -397,12 +491,20 @@ def make_profile(L: float, derived: DerivedFunctions,
         return out
 
     def inv_hint(eps):
-        if eps >= clamp:
-            return 1.0
-        # l_j > eps  <=>  j < 1/H(eps/L)
-        return 1.0 / (eps / L / derived.gauge.h(eps / L))
+        # l_j > eps  <=>  j < 1/H(eps/L); eps at or above the clamp gives 1
+        y = np.minimum(eps, clamp) / L
+        return np.where(eps >= clamp, 1.0, 1.0 / (y / derived.gauge.h(y)))
 
-    return AnalyticString(length_fn, inv_hint)
+    def integral(M, fM):
+        return L * _gauge_side_integral(derived.gauge, fM / L)
+
+    def tail_fn(m):
+        ms = [int(k) for k in np.ravel(m)]
+        prefix = np.array([max(j0 - 1 - k, 0) for k in ms], dtype=float) * clamp
+        tails = _em_tail_sum(length_fn, [max(k, j0 - 1) for k in ms], integral)
+        return _shaped(prefix + tails, np.shape(m))
+
+    return AnalyticString(length_fn, inv_hint, tail_fn=tail_fn)
 
 
 # -- JSON wire format -------------------------------------------------------

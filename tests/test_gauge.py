@@ -131,6 +131,15 @@ def test_h_inv_newton_settles_in_few_iterations(monkeypatch, D, alphas, upper):
     assert len(calls) <= 8
 
 
+@pytest.mark.parametrize("D, alphas, upper", _NEWTON_GAUGES)
+def test_h_inv_vector_equals_scalar(D, alphas, upper):
+    # every element stops on its own steps, so a root does not depend on
+    # the call it is part of
+    d = make_derived(power_log(1.0 - D, alphas, domain_upper=upper), D)
+    zs = np.geomspace(1.000001 * d.H(5e-324), d.H_y1, 200)
+    assert d.H_inv(zs).tolist() == [d.H_inv(float(z)) for z in zs]
+
+
 def test_h_inv_deep_roots_and_the_underflow_floor():
     d = make_derived(power_log(0.3, [1.0], domain_upper=0.1), 0.7)
     y = d.H_inv(7.2e-214)

@@ -162,3 +162,31 @@ def test_content_estimate_json():
     assert out["verdict"] == "measurable"
     assert out["grid"]["n"] == 31
     assert out["gauge"]["rho"] == 0.5
+
+
+def test_array_scales_equal_scalar_scales():
+    scales = np.geomspace(0.3, 1e-9, 25)
+    for s in (make_a_string(0.5), make_cantor(), ExplicitString([0.5, 0.3, 0.1, 0.1])):
+        assert tube_volume(s, scales).tolist() == [tube_volume(s, e) for e in scales]
+        counts = boundary_count(s, scales)
+        assert counts.tolist() == [boundary_count(s, e) for e in scales]
+        assert all(type(c) is int for c in counts.tolist())
+    with pytest.raises(ValueError):
+        tube_volume(make_interval(1.0), np.array([0.1, 0.0]))
+
+
+def test_contents_make_one_J_call_per_grid(monkeypatch):
+    s = make_a_string(1.0)
+    calls = []
+    J = type(s).J
+
+    def counted(self, eps):
+        calls.append(np.size(eps))
+        return J(self, eps)
+
+    monkeypatch.setattr(type(s), "J", counted)
+    grid = ScaleGrid.geometric(2.0 ** -10, 0.5, 31)
+    minkowski_estimate(s, power_log(0.5), grid)
+    s_estimate(s, power_log(0.5), grid)
+    dimension_estimate(s, grid)
+    assert calls == [31, 31, 31]

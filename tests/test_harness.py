@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fractal_strings import ExperimentConfig, bundled_examples, run_verify
-from fractal_strings import strings
+from fractal_strings import gauge, strings
 from fractal_strings.cli import main
 
 A1_CONFIG = {
@@ -204,18 +204,26 @@ def test_cli_exit_code_for_unknown_example(capsys):
 @pytest.mark.parametrize("name", ["profile_log_D0.3", "profile_log_D0.5",
                                   "profile_log_D0.7"])
 def test_log_profile_verify_evaluation_budget(monkeypatch, name):
-    # each J starts at the exact inverse, so a verify run costs a few
-    # profile evaluations per sample; bisecting J from hint // 2 takes
-    # 4 to 9 thousand
+    # every profile length goes through H_inv: J tests a whole grid in one
+    # call, and a tail's integral needs no H_inv beyond its five closure
+    # points, so a verify run makes 40 to 90 calls
     calls = []
-    init = strings.AnalyticString.__init__
+    h_inv = gauge.DerivedFunctions.H_inv
 
-    def counting_init(self, length_fn, *args, **kwargs):
-        def counted(js):
-            calls.append(1)
-            return length_fn(js)
-        init(self, counted, *args, **kwargs)
+    def counted(self, z):
+        calls.append(1)
+        return h_inv(self, z)
 
-    monkeypatch.setattr(strings.AnalyticString, "__init__", counting_init)
+    monkeypatch.setattr(gauge.DerivedFunctions, "H_inv", counted)
     run_verify(bundled_examples()[name])
-    assert 0 < len(calls) <= 1200
+    assert 0 < len(calls) <= 200
+
+
+@pytest.mark.parametrize("name", ["profile_power_D0.3", "profile_log_D0.3",
+                                  "profile_power_D0.7", "profile_log_D0.7"])
+def test_profile_verify_takes_tails_on_the_gauge_side(monkeypatch, name):
+    def refuse(fn, a):
+        raise AssertionError("Gauss-Legendre tail integral on a profile")
+
+    monkeypatch.setattr(strings, "_panel_integral_to_inf", refuse)
+    run_verify(bundled_examples()[name])

@@ -10,8 +10,8 @@ from fractal_strings import (AnalyticString, ExplicitString, RunLengthString,
                              make_interval, make_profile, make_derived,
                              power_log, string_from_json)
 from fractal_strings.errors import ConstructionError
-from fractal_strings.strings import (_MAX_PANELS, _PANEL_FACTOR, _gauss_panel,
-                                     _panel_integral_to_inf)
+from fractal_strings.strings import (_MAX_PANELS, _PANEL_FACTOR, _gauge_side_integral,
+                                     _gauss_panel, _panel_integral_to_inf)
 
 
 def test_explicit_sorts_and_counts():
@@ -240,6 +240,8 @@ def test_truncate_produces_explicit_prefix():
     t = s.truncate(100)
     assert t.count() == 100
     assert t.length(100) == s.length(100)
+    # one vector length call, equal to the scalar loop
+    assert np.array_equal(t.runs_above(0.0)[0], [s.length(j) for j in range(1, 101)])
     assert t.total_length() == pytest.approx(s.head_sum(100), rel=1e-13)
     rl = make_cantor(depth=8).truncate(10)
     assert rl.count() == 10
@@ -262,3 +264,114 @@ def test_string_json_roundtrip():
 def test_string_json_rejects_unknown_kind():
     with pytest.raises(ValueError):
         string_from_json({"kind": "penrose"})
+
+
+def _exact_ints(values):
+    return all(type(v) is int for v in values)
+
+
+def _grid_cases():
+    examples = bundled_examples()
+    cases = []
+    for name in ("profile_log_D0.3", "profile_log_D0.5", "profile_log_D0.7"):
+        cfg = examples[name]
+        cases.append((name, string_from_json(cfg.string_spec),
+                      2.0 * cfg.eps_grid().scales))
+    # multiplicities 2^(n-1) pass 2^53 from n = 55 and 2^63 from n = 65
+    cantor_eps = np.array([3.0 ** -n * u for n in range(1, 96, 3)
+                           for u in (1.0, 0.999, 0.5)])
+    cases.append(("cantor", make_cantor(), cantor_eps))
+    explicit = ExplicitString([0.5, 0.25, 0.25, 0.1, 0.1, 0.1, 0.05])
+    cases.append(("explicit", explicit,
+                  np.array([0.6, 0.5, 0.3, 0.25, 0.2499999, 0.1, 0.05, 0.01])))
+    return cases
+
+
+@pytest.mark.parametrize("name, string, eps", _grid_cases())
+def test_grid_forms_equal_scalar_forms(name, string, eps):
+    js = string.J(eps)
+    assert js.shape == eps.shape and _exact_ints(js.tolist())
+    assert js.tolist() == [string.J(float(e)) for e in eps]
+    assert _exact_ints(string.J(float(e)) for e in eps)
+    if name == "profile_log_D0.7":
+        assert max(js) > 2 ** 63
+    if name == "cantor":
+        assert max(js) > 2 ** 63
+    tails = string.tail_sum_beyond_index(js)
+    assert tails.tolist() == [string.tail_sum_beyond_index(j) for j in js.tolist()]
+    assert string.tail_sum_beyond(eps).tolist() == tails.tolist()
+    index = np.array([j for j in js.tolist() if j >= 1], dtype=object)
+    assert string.length(index).tolist() == [string.length(j) for j in index.tolist()]
+    # any shape: a 2-d grid gives a 2-d answer
+    square = eps[:4].reshape(2, 2)
+    assert string.J(square).tolist() == js[:4].reshape(2, 2).tolist()
+
+
+def test_profile_tail_across_the_clamp():
+    # domain_upper 1e-3 clamps l_j at g(1000) = 1e-6 for j < j0 = 1000: the
+    # prefix is counted exactly and the closure starts at j0, not at 512
+    p = make_profile(1.0, make_derived(power_log(0.5, [], 1e-3), 0.5))
+    j0, clamp = 1000, 1e-6
+    assert p.length(j0 - 1) == clamp == p.length(j0)
+    with mpmath.workdps(30):
+        for m in (0, 100, 600, 999, 1000, 5000):
+            exact = (max(j0 - 1 - m, 0) * mpmath.mpf(clamp)
+                     + mpmath.zeta(2, max(m, j0 - 1) + 1))
+            assert p.tail_sum_beyond_index(m) == pytest.approx(float(exact), rel=1e-13, abs=0), m
+    assert p.tail_sum_beyond_index(0) == p.total_length()
+
+
+@pytest.mark.parametrize("D", [0.3, 0.5, 0.7])
+def test_pure_power_profile_tail_matches_hurwitz_zeta(D):
+    # l_j = j^(-1/D) from j = 1, so sum_{j > m} l_j = zeta(1/D, m + 1)
+    p = make_profile(1.0, make_derived(power_log(1.0 - D), D))
+    with mpmath.workdps(30):
+        for m in (0, 1, 511, 512, 10 ** 6, 10 ** 15):
+            exact = float(mpmath.zeta(1 / mpmath.mpf(D), m + 1))
+            assert p.tail_sum_beyond_index(m) == pytest.approx(exact, rel=2e-14, abs=0), m
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.5, 0.7])
+def test_gauge_side_integral_closed_form(rho):
+    # int_0^Y y^(rho-1) ln(1/y) dy = Y^rho (rho ln(1/Y) + 1)/rho^2, minus
+    # h(Y) = Y^rho ln(1/Y); Gauss-Laguerre is exact for this phi(u) = u
+    gauge = power_log(rho, [1.0])
+    y1 = make_derived(gauge, 1.0 - rho).y1
+    Y = np.geomspace(y1, 1e-200, 40)
+    got = _gauge_side_integral(gauge, Y)
+    with mpmath.workdps(30):
+        r = mpmath.mpf(rho)
+        for y, value in zip(Y.tolist(), got.tolist()):
+            y = mpmath.mpf(y)
+            u = mpmath.log(1 / y)
+            exact = y ** r * (r * u + 1) / r ** 2 - y ** r * u
+            assert value == pytest.approx(float(exact), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("D, alphas", [(0.9, [-0.5]), (0.95, [-1.0]), (0.5, [2.5]),
+                                       (0.5, [0.5, 1.5, 1.0])])
+def test_gauge_side_integral_small_rho_and_iterated_logs(D, alphas):
+    # the ratio phi(u + s/rho)/phi(u) is singular at s = -rho u, near s = 0
+    # for small rho (Gauss-Laguerre alone errs by up to 3e-5 here); the
+    # reference integrates the same s-form in 30 digits
+    gauge = power_log(1.0 - D, alphas, 0.05)
+    d = make_derived(gauge, D)
+    Ms = [math.ceil(d.valid_from), 512.0, 1e4, 1e8, 1e30]
+    Y = d.g(np.array(Ms, dtype=float))
+    got = _gauge_side_integral(gauge, Y)
+    with mpmath.workdps(30):
+        rho = mpmath.mpf(1.0 - D)
+
+        def phi(u):
+            out, L = mpmath.mpf(1), u
+            for a in alphas:
+                out, L = out * L ** a, mpmath.log(L)
+            return out
+
+        for y, value in zip(Y.tolist(), got.tolist()):
+            y = mpmath.mpf(y)
+            u = mpmath.log(1 / y)
+            body = mpmath.quad(lambda s: mpmath.exp(-s) * phi(u + s / rho),
+                               [0, 0.1, 0.5, 2, 10, 50, 200, mpmath.inf])
+            exact = y ** rho * (body / rho - phi(u))
+            assert value == pytest.approx(float(exact), rel=1e-14, abs=0)
