@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .gauge import gauge_from_json, make_derived
-from .geometry import DEFAULT_BAND, ScaleGrid, minkowski_estimate, s_estimate
+from .geometry import DEFAULT_BAND, ScaleGrid, content_estimates
 from .harness import (ExperimentConfig, bundled_examples, config_grids,
                       run_verify)
 from .spectral import (ZetaContext, records_to_csv, second_term_probe, w_k,
@@ -106,8 +106,7 @@ def cmd_content(args) -> int:
                                float(grids.get("q", ExperimentConfig.eps_ratio)),
                                int(grids.get("n", ExperimentConfig.eps_n)))
     band = float(spec.get("band", DEFAULT_BAND))
-    mink = minkowski_estimate(string, gauge, grid, band=band)
-    sest = s_estimate(string, gauge, grid, band=band)
+    mink, sest = content_estimates(string, gauge, grid, band=band)
     _emit({"minkowski": mink.to_json(), "s": sest.to_json()}, args.out)
     return 0
 
@@ -131,15 +130,17 @@ def cmd_zeta(args) -> int:
 def cmd_string(args) -> int:
     spec = _load_json(args.config)
     string = string_from_json(spec["string"] if "string" in spec else spec)
-    n = args.n
-    lengths = [string.length(j) for j in range(1, n + 1)]
-    eps_probe = [2.0 ** -k for k in range(2, 22, 2)]
+    count = string.count()
+    n = args.n if count is None else min(args.n, count)
+    eps_probe = 2.0 ** -np.arange(2, 22, 2)
+    J = string.J(eps_probe)
+    keys = ["%g" % e for e in eps_probe.tolist()]
     _emit({"total_length": string.total_length(),
-           "count": string.count(),
-           "first_lengths": lengths,
-           "J": {("%g" % e): string.J(e) for e in eps_probe},
-           "tail_beyond": {("%g" % e): string.tail_sum_beyond(e)
-                           for e in eps_probe}}, args.out)
+           "count": count,
+           "first_lengths": string.length(np.arange(1, n + 1)).tolist(),
+           "J": dict(zip(keys, J.tolist())),
+           "tail_beyond": dict(zip(keys, string.tail_sum_beyond_index(J).tolist()))},
+          args.out)
     return 0
 
 

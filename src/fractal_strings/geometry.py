@@ -1,9 +1,10 @@
-"""Tube volumes, boundary counts and generalized content estimation.
+"""Tube volumes and generalized content estimation.
 
 For a fractal string the inner tube volume is V(eps) = sum_j min(l_j, 2 eps)
-and the boundary measure of the eps-parallel set is twice the number of
-lengths exceeding 2 eps.  Contents are sampled ratios on a geometric grid
-of scales; the liminf/limsup estimates come from the trailing third.
+and the boundary measure of the eps-parallel set is V'(eps) = 2 J(2 eps),
+twice the number of lengths exceeding 2 eps.  Contents are sampled ratios
+on a geometric grid of scales; the liminf/limsup estimates come from the
+trailing third.
 """
 
 from __future__ import annotations
@@ -92,17 +93,14 @@ def tube_volume(string: FractalString, eps):
     eps = np.asarray(eps, dtype=float)
     if np.any(eps <= 0):
         raise ValueError("eps must be positive")
+    return _volume_and_count(string, eps)[0]
+
+
+def _volume_and_count(string: FractalString, eps: np.ndarray):
+    """V(eps) and J(2 eps) as floats, from one J and one tail call."""
     j = string.J(2.0 * eps)
-    return string.tail_sum_beyond_index(j) + 2.0 * eps * np.asarray(j, dtype=float)
-
-
-def boundary_count(string: FractalString, eps):
-    """Points of the boundary of the eps-parallel set inside the string:
-    2 J(2 eps), an exact int, or an object array of them for an array eps."""
-    eps = np.asarray(eps, dtype=float)
-    if np.any(eps <= 0):
-        raise ValueError("eps must be positive")
-    return 2 * string.J(2.0 * eps)
+    count = np.asarray(j, dtype=float)
+    return string.tail_sum_beyond_index(j) + 2.0 * eps * count, count
 
 
 def trailing_third(values: np.ndarray) -> np.ndarray:
@@ -126,7 +124,9 @@ def trailing_extremes(values: np.ndarray, scales: np.ndarray):
     return float(np.min(tail)), float(np.max(tail)), slope
 
 
-def _classify_samples(ratios: np.ndarray, scales: np.ndarray, band: float):
+def _estimate(kind: str, ratios: np.ndarray, scales: np.ndarray,
+              gauge: GaugeFunction, band: float) -> ContentEstimate:
+    """Classify the trailing spread of sampled content ratios."""
     lo, hi, slope = trailing_extremes(ratios, scales)
     if not (lo > 0.0 and math.isfinite(hi)) or abs(slope) > DRIFT_SLOPE_TOL:
         verdict = "degenerate"
@@ -134,43 +134,32 @@ def _classify_samples(ratios: np.ndarray, scales: np.ndarray, band: float):
         verdict = "measurable"
     else:
         verdict = "nondegenerate"
-    return lo, hi, verdict, slope
-
-
-def minkowski_estimate(string: FractalString, gauge: GaugeFunction,
-                       grid: ScaleGrid, band: float = DEFAULT_BAND) -> ContentEstimate:
-    """Sample V(eps)/h(eps) and classify the trailing spread."""
-    scales = grid.scales
-    if scales.max() > gauge.domain_upper:
-        raise DomainError("grid scales exceed the gauge domain")
-    ratios = tube_volume(string, scales) / gauge.h(scales)
-    lo, hi, verdict, slope = _classify_samples(ratios, scales, band)
-    return ContentEstimate(lower=lo, upper=hi, kind="minkowski",
+    return ContentEstimate(lower=lo, upper=hi, kind=kind,
                            gauge_index=gauge.index, verdict=verdict,
                            grid=ScaleGrid(scales=scales, values=ratios),
                            drift_slope=slope)
 
 
-def s_estimate(string: FractalString, gauge: GaugeFunction,
-               grid: ScaleGrid, band: float = DEFAULT_BAND) -> ContentEstimate:
-    """Sample boundary_count(eps)/h'(eps) and classify the trailing spread."""
+def content_estimates(string: FractalString, gauge: GaugeFunction,
+                      grid: ScaleGrid, band: float = DEFAULT_BAND):
+    """(Minkowski, S) estimates: V(eps)/h(eps) and 2 J(2 eps)/h'(eps),
+    both from one J(2 eps) call over the grid.
+
+    Scales where h' vanishes are left out of the S samples, with a warning.
+    """
     scales = grid.scales
     if scales.max() > gauge.domain_upper:
         raise DomainError("grid scales exceed the gauge domain")
+    volumes, counts = _volume_and_count(string, scales)
+    mink = _estimate("minkowski", volumes / gauge.h(scales), scales, gauge, band)
     dh = np.atleast_1d(gauge.dh(scales))
     keep = dh != 0.0
     if not np.all(keep):
-        warnings.warn("s_estimate: skipped scales where h' vanishes")
+        warnings.warn("content_estimates: skipped scales where h' vanishes")
     if not np.any(keep):
         raise NumericError("h' vanishes at every sampled scale")
-    scales = scales[keep]
-    counts = np.asarray(boundary_count(string, scales), dtype=float)
-    ratios = counts / dh[keep]
-    lo, hi, verdict, slope = _classify_samples(ratios, scales, band)
-    return ContentEstimate(lower=lo, upper=hi, kind="s",
-                           gauge_index=gauge.index, verdict=verdict,
-                           grid=ScaleGrid(scales=scales, values=ratios),
-                           drift_slope=slope)
+    sest = _estimate("s", 2.0 * counts[keep] / dh[keep], scales[keep], gauge, band)
+    return mink, sest
 
 
 def dimension_estimate(string: FractalString, grid: ScaleGrid) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .gauge import gauge_from_json, make_derived
 from .geometry import (DEFAULT_BAND, ScaleGrid, cantor_grid,
-                       minkowski_estimate, s_estimate, trailing_third)
+                       content_estimates, trailing_third)
 from .karamata import classify_ratio
 from .spectral import ZetaContext, spectral_point
 from .strings import FractalString, string_from_json
@@ -152,8 +152,7 @@ def run_verify(config: ExperimentConfig) -> VerificationReport:
 
     # (i) Minkowski content, (ii) S-content
     eps_grid = config.eps_grid()
-    mink = minkowski_estimate(string, gauge, eps_grid, band=band)
-    sest = s_estimate(string, gauge, eps_grid, band=band)
+    mink, sest = content_estimates(string, gauge, eps_grid, band=band)
     assertions["i"] = AssertionResult(
         "h-Minkowski nondegeneracy", True, mink.verdict,
         mink.verdict in _COMPAT_CONTENT,

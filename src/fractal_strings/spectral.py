@@ -58,10 +58,12 @@ def _head(string: FractalString, x: float):
     err_floors = np.floor(err)
     fracs[at] = err - err_floors
     weights = np.asarray(mult, dtype=float)
-    n = float(np.dot(weights, floors))
+    # einsum, not BLAS dot: a threaded dot spins its idle threads on long
+    # heads, and einsum forms no product array
+    n = float(np.einsum("i,i->", weights, floors))
     if n < 2.0 ** 53:
         # non-negative integer terms below 2^53: every partial sum is exact
-        n = int(n + np.dot(weights[at], err_floors))
+        n = int(n + np.einsum("i,i->", weights[at], err_floors))
     else:
         n = (sum(int(m) * int(f) for m, f in zip(mult.tolist(), floors.tolist()))
              + sum(int(m) * int(d)

@@ -209,20 +209,21 @@ class FractalString:
         raise NotImplementedError
 
     def total_length(self) -> float:
-        raise NotImplementedError
-
-    def head_sum(self, n: int) -> float:
-        """sum_{j <= n} l_j."""
-        raise NotImplementedError
+        """sum_j l_j, the tail beyond index 0."""
+        return self.tail_sum_beyond_index(0)
 
     def count(self) -> Optional[int]:
         """Number of lengths, or None for infinite strings."""
         return None
 
     def truncate(self, n: int) -> "ExplicitString":
-        """The first n lengths, from one ``length`` call."""
+        """The first n lengths, or all of a shorter string, from one
+        ``length`` call."""
         if n < 1:
             raise ValueError("n must be >= 1")
+        count = self.count()
+        if count is not None:
+            n = min(n, count)
         return ExplicitString(self.length(np.arange(1, n + 1)))
 
 
@@ -253,20 +254,8 @@ class ExplicitString(FractalString):
         mm = np.minimum(np.asarray(m, dtype=object).ravel(), self._vals.size)
         return _shaped(self._suffix[mm.astype(np.int64)], np.shape(m))
 
-    def total_length(self) -> float:
-        return float(self._suffix[0])
-
-    def head_sum(self, n: int) -> float:
-        n = min(n, self._vals.size)
-        return float(self._suffix[0] - self._suffix[n])
-
     def count(self):
         return int(self._vals.size)
-
-    def truncate(self, n: int) -> "ExplicitString":
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return ExplicitString(self._vals[:min(n, self._vals.size)])
 
 
 class RunLengthString(FractalString):
@@ -309,26 +298,8 @@ class RunLengthString(FractalString):
         over = np.asarray(self._cum[b] - mm, dtype=float)
         return _shaped(self._suffix[b] + over * self._vals[b - 1], np.shape(m))
 
-    def total_length(self) -> float:
-        return float(self._suffix[0])
-
-    def head_sum(self, n: int) -> float:
-        n = min(n, self._cum[-1])
-        b = int(np.searchsorted(self._cum, n, side="left"))
-        partial = float(self._suffix[0] - self._suffix[b])
-        # subtract the part of block b-1 that lies beyond n
-        over = self._cum[b] - n
-        return partial - over * float(self._vals[b - 1]) if over else partial
-
     def count(self):
         return self._cum[-1]
-
-    def truncate(self, n: int) -> ExplicitString:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        n = min(n, self._cum[-1])
-        reps = [min(m, n) for m in self._mult]
-        return ExplicitString(np.repeat(self._vals, reps)[:n])
 
 
 class AnalyticString(FractalString):
@@ -353,14 +324,12 @@ class AnalyticString(FractalString):
     """
 
     def __init__(self, length_fn: Callable, inv_hint: Callable,
-                 tail_fn: Optional[Callable] = None,
-                 total: Optional[float] = None):
+                 tail_fn: Optional[Callable] = None):
         self._fn = length_fn
         self._inv = inv_hint
         self._tail = tail_fn
-        if total is None:
-            total = self.head_sum(1024) + self.tail_sum_beyond_index(1024)
-        self._total = float(total)
+        # the tail beyond index 0, taken once: a profile tail is a quadrature
+        self._total = float(self.tail_sum_beyond_index(0))
 
     def length(self, j):
         jj = np.asarray(j)
@@ -427,10 +396,6 @@ class AnalyticString(FractalString):
     def total_length(self) -> float:
         return self._total
 
-    def head_sum(self, n: int) -> float:
-        js = np.arange(1, n + 1, dtype=float)
-        return math.fsum(np.asarray(self._fn(js), dtype=float))
-
 
 # -- canonical families -----------------------------------------------------
 
@@ -462,7 +427,7 @@ def make_a_string(a: float) -> AnalyticString:
     def tail_fn(m):
         return _shaped(np.array([float(k + 1) ** -a for k in np.ravel(m)]), np.shape(m))
 
-    return AnalyticString(length_fn, inv_hint, tail_fn=tail_fn, total=1.0)
+    return AnalyticString(length_fn, inv_hint, tail_fn=tail_fn)
 
 
 def make_profile(L: float, derived: DerivedFunctions) -> AnalyticString:

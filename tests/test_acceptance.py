@@ -20,10 +20,10 @@ from fractal_strings import (AnalyticString, ExperimentConfig, ScaleGrid,
                              ZetaContext, bundled_examples, cantor_grid,
                              eigen_count, extract_representation,
                              karamata_direct, make_a_string, make_cantor,
-                             make_derived, make_interval, make_profile,
-                             minkowski_estimate, packing_defect, power_log,
-                             run_verify, s_estimate, tail_sum_rv, w_k,
-                             weyl_term, zeta, zeta_from_wk)
+                             content_estimates, make_derived, make_interval,
+                             make_profile, packing_defect, power_log,
+                             run_verify, tail_sum_rv, w_k, weyl_term, zeta,
+                             zeta_from_wk)
 
 ZETA_HALF = -1.4603545088095868
 
@@ -48,8 +48,7 @@ def test_measurable_packing_constant_matches_zeta_half():
     s = AnalyticString(
         length_fn=lambda j: np.asarray(j, dtype=float) ** -2.0,
         inv_hint=lambda eps: eps ** -0.5,
-        tail_fn=lambda m: float(polygamma(1, m + 1)),
-        total=math.pi ** 2 / 6.0)
+        tail_fn=lambda m: float(polygamma(1, m + 1)))
     t0 = time.monotonic()
     x = 1e10  # head is the 10^5 lengths above 1/x, tail is exact
     ratio = packing_defect(s, x) / math.sqrt(x)
@@ -62,8 +61,7 @@ def test_content_estimates_match_closed_form_constant():
     g = power_log(0.5)
     grid = ScaleGrid(scales=2.0 ** -np.arange(10, 41, dtype=float))
     t0 = time.monotonic()
-    m = minkowski_estimate(s, g, grid)
-    se = s_estimate(s, g, grid)
+    m, se = content_estimates(s, g, grid)
     assert time.monotonic() - t0 < 1.0
     target = 2.0 ** 1.5
     assert m.midpoint == pytest.approx(target, rel=0.02)
@@ -93,8 +91,7 @@ def test_lattice_oscillation_detected_and_measurability_rejected():
     c = make_cantor()
     grid = cantor_grid(periods=5)
     t0 = time.monotonic()
-    m = minkowski_estimate(c, g, grid)
-    se = s_estimate(c, g, grid)
+    m, se = content_estimates(c, g, grid)
     assert time.monotonic() - t0 < 2.0
     for est in (m, se):
         assert 0.0 < est.lower <= est.upper < math.inf
@@ -155,7 +152,7 @@ def test_log_gauge_profile_end_to_end():
     # content at deep scales where the 1/log(1/eps) correction has decayed
     string = make_profile(1.0, derived)
     grid = ScaleGrid(scales=2.0 ** -np.arange(50, 81, dtype=float))
-    m = minkowski_estimate(string, gauge, grid)
+    m, _ = content_estimates(string, gauge, grid)
     assert m.midpoint == pytest.approx(2.0 ** 1.5, rel=0.05)
     # packing-defect ratio drifts monotonically toward -zeta(1/2)
     xs = np.geomspace(1e2, 1e7, 11)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from fractal_strings import (DomainError, ExplicitString, ScaleGrid,
-                             boundary_count, cantor_grid, dimension_estimate,
-                             make_a_string, make_cantor, make_interval,
-                             minkowski_estimate, power_log, s_estimate,
-                             tube_volume)
+                             cantor_grid, content_estimates,
+                             dimension_estimate, make_a_string, make_cantor,
+                             make_interval, power_log, tube_volume)
 
 
 def test_scale_grid_validation():
@@ -37,9 +36,14 @@ def test_tube_volume_handcomputed():
 
 
 def test_boundary_count_is_twice_J():
+    # the S samples are 2 J(2 eps)/h'(eps); the grid starts 0.1, 0.04
     s = ExplicitString([0.5, 0.3, 0.1])
-    assert boundary_count(s, 0.1) == 2 * s.J(0.2)
-    assert boundary_count(s, 0.04) == 6
+    g = power_log(0.5)
+    grid = ScaleGrid.geometric(0.1, 0.4, 9)
+    samples = content_estimates(s, g, grid)[1].grid.values
+    dh = g.dh(grid.scales)
+    assert samples[0] == 2 * s.J(0.2) / dh[0]
+    assert samples[1] == 6 / dh[1]
 
 
 def test_positive_scale_required():
@@ -47,22 +51,22 @@ def test_positive_scale_required():
     with pytest.raises(ValueError):
         tube_volume(s, 0.0)
     with pytest.raises(ValueError):
-        boundary_count(s, -1.0)
+        content_estimates(s, power_log(0.5),
+                          ScaleGrid(scales=-np.geomspace(1.0, 0.1, 9)))
 
 
 def test_minkowski_rejects_scales_beyond_gauge_domain():
     g = power_log(0.5, [1.0])  # domain upper 0.1
     grid = ScaleGrid.geometric(0.5, 0.5, 12)
     with pytest.raises(DomainError):
-        minkowski_estimate(make_interval(1.0), g, grid)
+        content_estimates(make_interval(1.0), g, grid)
 
 
 def test_contents_converge_for_inverse_square_lengths():
     s = make_a_string(1.0)
     g = power_log(0.5)
     grid = ScaleGrid.geometric(2.0 ** -10, 0.5, 31)
-    m = minkowski_estimate(s, g, grid)
-    se = s_estimate(s, g, grid)
+    m, se = content_estimates(s, g, grid)
     target = 2.0 ** 1.5
     assert m.verdict == "measurable"
     assert se.verdict == "measurable"
@@ -73,7 +77,7 @@ def test_contents_converge_for_inverse_square_lengths():
 def test_interval_is_degenerate_for_fractal_gauge():
     s = make_interval(1.0)
     grid = ScaleGrid.geometric(2.0 ** -10, 0.5, 31)
-    m = minkowski_estimate(s, power_log(0.5), grid)
+    m, _ = content_estimates(s, power_log(0.5), grid)
     # V(eps)/sqrt(eps) = 2 sqrt(eps) -> 0; the drift heuristic must catch it
     assert m.verdict == "degenerate"
     assert abs(m.drift_slope) > 0.4
@@ -105,25 +109,23 @@ def test_cantor_s_samples_match_closed_form():
         u = 2.0 * eps * 3.0 ** n
         return 2.0 ** -D * (1.0 - 2.0 ** (1 - n)) * u ** D / (1.0 - D)
 
-    se = s_estimate(c, g, cantor_grid())
+    se = content_estimates(c, g, cantor_grid())[1]
     expected = [closed(e) for e in se.grid.scales]
     assert se.grid.values == pytest.approx(expected, rel=1e-12)
     tail = expected[-max(3, len(expected) // 3):]
     assert se.lower == pytest.approx(min(tail), rel=1e-12)
     assert se.upper == pytest.approx(max(tail), rel=1e-12)
-    # off the grid, u = 2.9 puts the length 3^-(n-1) inside (2 eps, 2.1 eps]:
-    # the count at 2 eps includes it, a count at 2.1 eps would not
-    for n in (10, 20, 40):
-        eps = 3.0 ** -n * 2.9 / 2.0
-        got = boundary_count(c, eps) / g.dh(eps)
-        assert got == pytest.approx(closed(eps), rel=1e-12)
+    # off the cantor grid, u = 2.9 puts the length 3^-(n-1) inside
+    # (2 eps, 2.1 eps]: the count at 2 eps includes it, one at 2.1 eps would not
+    off = ScaleGrid(scales=3.0 ** -np.arange(10, 41, 2.0) * 2.9 / 2.0)
+    got = content_estimates(c, g, off)[1].grid.values
+    assert got == pytest.approx([closed(e) for e in off.scales], rel=1e-12)
 
 
 def test_cantor_contents_oscillate_without_drift():
     D = math.log(2) / math.log(3)
     c = make_cantor()
-    m = minkowski_estimate(c, power_log(1.0 - D), cantor_grid())
-    s = s_estimate(c, power_log(1.0 - D), cantor_grid())
+    m, s = content_estimates(c, power_log(1.0 - D), cantor_grid())
     assert m.verdict == "nondegenerate"
     assert s.verdict == "nondegenerate"
     assert abs(m.drift_slope) < 0.02
@@ -157,7 +159,7 @@ def test_dimension_estimate_needs_three_decades():
 def test_content_estimate_json():
     s = make_a_string(1.0)
     grid = ScaleGrid.geometric(2.0 ** -10, 0.5, 31)
-    out = minkowski_estimate(s, power_log(0.5), grid).to_json(
+    out = content_estimates(s, power_log(0.5), grid)[0].to_json(
         gauge_json={"form": "powerlog", "rho": 0.5})
     assert out["verdict"] == "measurable"
     assert out["grid"]["n"] == 31
@@ -168,8 +170,8 @@ def test_array_scales_equal_scalar_scales():
     scales = np.geomspace(0.3, 1e-9, 25)
     for s in (make_a_string(0.5), make_cantor(), ExplicitString([0.5, 0.3, 0.1, 0.1])):
         assert tube_volume(s, scales).tolist() == [tube_volume(s, e) for e in scales]
-        counts = boundary_count(s, scales)
-        assert counts.tolist() == [boundary_count(s, e) for e in scales]
+        counts = s.J(2.0 * scales)
+        assert counts.tolist() == [s.J(2.0 * e) for e in scales]
         assert all(type(c) is int for c in counts.tolist())
     with pytest.raises(ValueError):
         tube_volume(make_interval(1.0), np.array([0.1, 0.0]))
@@ -186,7 +188,6 @@ def test_contents_make_one_J_call_per_grid(monkeypatch):
 
     monkeypatch.setattr(type(s), "J", counted)
     grid = ScaleGrid.geometric(2.0 ** -10, 0.5, 31)
-    minkowski_estimate(s, power_log(0.5), grid)
-    s_estimate(s, power_log(0.5), grid)
+    content_estimates(s, power_log(0.5), grid)
     dimension_estimate(s, grid)
-    assert calls == [31, 31, 31]
+    assert calls == [31, 31]

@@ -179,6 +179,20 @@ def test_cli_string_inspection(tmp_path, capsys):
     assert out["first_lengths"][0] == pytest.approx(1 / 3)
 
 
+@pytest.mark.parametrize("spec, lengths", [
+    ({"kind": "interval"}, [1.0]),
+    ({"kind": "explicit", "lengths": [0.125, 0.5, 0.25]}, [0.5, 0.25, 0.125]),
+])
+def test_cli_string_lists_every_length_of_a_short_string(tmp_path, capsys, spec,
+                                                         lengths):
+    path = _write_config(tmp_path, spec)
+    assert main(["string", path]) == 0  # -n 12 by default
+    out = json.loads(capsys.readouterr().out)
+    assert out["count"] == len(lengths)
+    assert out["first_lengths"] == lengths
+    assert out["J"]["0.25"] == sum(l > 0.25 for l in lengths)
+
+
 def test_cli_exit_code_for_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -206,7 +220,7 @@ def test_cli_exit_code_for_unknown_example(capsys):
 def test_log_profile_verify_evaluation_budget(monkeypatch, name):
     # every profile length goes through H_inv: J tests a whole grid in one
     # call, and a tail's integral needs no H_inv beyond its five closure
-    # points, so a verify run makes 40 to 90 calls
+    # points, so a verify run makes 38 to 61 calls
     calls = []
     h_inv = gauge.DerivedFunctions.H_inv
 
@@ -227,3 +241,23 @@ def test_profile_verify_takes_tails_on_the_gauge_side(monkeypatch, name):
 
     monkeypatch.setattr(strings, "_panel_integral_to_inf", refuse)
     run_verify(bundled_examples()[name])
+
+
+@pytest.mark.parametrize("name", ["a_string_1", "cantor", "profile_log_D0.5"])
+def test_run_verify_takes_one_J_over_the_eps_grid(monkeypatch, name):
+    # both contents read the same count J(2 eps)
+    cfg = bundled_examples()[name]
+    grid = 2.0 * cfg.eps_grid().scales
+    calls = []
+
+    def counted(J):
+        def wrapper(self, eps):
+            calls.append(np.array(eps, dtype=float))
+            return J(self, eps)
+        return wrapper
+
+    for cls in (strings.ExplicitString, strings.RunLengthString,
+                strings.AnalyticString):
+        monkeypatch.setattr(cls, "J", counted(cls.J))
+    run_verify(cfg)
+    assert sum(np.array_equal(eps, grid) for eps in calls) == 1

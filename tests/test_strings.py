@@ -32,7 +32,8 @@ def test_explicit_tail_and_head_sums():
     s = ExplicitString(vals)
     # strict comparison: the length equal to the threshold stays in the tail
     assert s.tail_sum_beyond(2.0 ** -6) == pytest.approx(sum(vals[5:]), rel=1e-15)
-    assert s.head_sum(5) == pytest.approx(sum(vals[:5]), rel=1e-15)
+    head = s.total_length() - s.tail_sum_beyond_index(5)
+    assert head == pytest.approx(sum(vals[:5]), rel=1e-15)
 
 
 def test_runlength_agrees_with_flat_expansion():
@@ -43,7 +44,8 @@ def test_runlength_agrees_with_flat_expansion():
         assert rl.J(eps) == flat.J(eps)
         assert rl.tail_sum_beyond(eps) == pytest.approx(flat.tail_sum_beyond(eps), rel=1e-14)
     for n in (1, 4, 9, 11):
-        assert rl.head_sum(n) == pytest.approx(flat.head_sum(n), rel=1e-14)
+        assert rl.total_length() - rl.tail_sum_beyond_index(n) == pytest.approx(
+            flat.total_length() - flat.tail_sum_beyond_index(n), rel=1e-14)
         assert rl.length(n) == flat.length(n)
         # n = 9 ends inside the third block
         assert rl.tail_sum_beyond_index(n) == pytest.approx(
@@ -83,7 +85,9 @@ def test_cantor_deep_multiplicities_do_not_overflow():
     assert c.J(1.5 * 3.0 ** -60) == 2 ** 59 - 1
     assert c.length(2 ** 59 - 1) == 3.0 ** -59
     assert c.length(2 ** 59) == 3.0 ** -60
-    assert c.head_sum(2 ** 59) == pytest.approx(1.0 - (2 / 3) ** 59 + 3.0 ** -60, rel=1e-15)
+    # the head of 2^59 lengths ends one length into the 3^-60 block
+    head = c.total_length() - c.tail_sum_beyond_index(2 ** 59)
+    assert head == pytest.approx(1.0 - (2 / 3) ** 59 + 3.0 ** -60, rel=1e-15)
 
 
 def test_a_string_lengths_and_tail():
@@ -164,7 +168,7 @@ def test_analytic_J_matches_dense_scan(name, string, epsilons):
             hint = string._inv
             for inv in (hint, lambda t: 1.0, lambda t: 1000.0 * hint(t),
                         lambda t: hint(t) / 1000.0):
-                s = AnalyticString(string._fn, inv, total=1.0)
+                s = AnalyticString(string._fn, inv, string._tail)
                 assert s.J(e) == ref, (name, e, inv)
 
 
@@ -184,7 +188,7 @@ def test_profile_J_past_2_43():
             ref = int(mpmath.ceil(y ** rho * mpmath.log(1 / y) / y)) - 1  # 1/H
             assert ref > 2 ** 43
             for inv in (hint, lambda t: 2.0 * hint(t), lambda t: hint(t) / 2.0):
-                J = AnalyticString(p._fn, inv, total=1.0).J(eps)
+                J = AnalyticString(p._fn, inv, p._tail).J(eps)
                 if ref < 2 ** 53:
                     assert p.length(J) > eps >= p.length(J + 1), k
                 else:
@@ -242,10 +246,25 @@ def test_truncate_produces_explicit_prefix():
     assert t.length(100) == s.length(100)
     # one vector length call, equal to the scalar loop
     assert np.array_equal(t.runs_above(0.0)[0], [s.length(j) for j in range(1, 101)])
-    assert t.total_length() == pytest.approx(s.head_sum(100), rel=1e-13)
+    assert t.total_length() == pytest.approx(
+        s.total_length() - s.tail_sum_beyond_index(100), rel=1e-13)
     rl = make_cantor(depth=8).truncate(10)
     assert rl.count() == 10
     assert rl.length(10) == 3.0 ** -4
+    # past count() both finite backends keep the whole string
+    for short in (ExplicitString([0.5, 0.25, 0.25, 0.1]), make_cantor(depth=3)):
+        t = short.truncate(100)
+        assert t.count() == short.count()
+        index = np.arange(1, short.count() + 1)
+        assert t.length(index).tolist() == short.length(index).tolist()
+
+
+def test_pure_power_profile_total_is_zeta_2():
+    # l_j = j^-2: the total, the tail beyond index 0, is zeta(2) = pi^2/6
+    # correctly rounded
+    cfg = bundled_examples()["profile_power_D0.5"]
+    total = string_from_json(cfg.string_spec).total_length()
+    assert total == pytest.approx(1.6449340668482264, abs=0)
 
 
 def test_string_json_roundtrip():
