@@ -200,10 +200,6 @@ class FractalString:
         as arrays; run-length multiplicities are exact Python ints."""
         raise NotImplementedError
 
-    def tail_sum_beyond(self, eps):
-        """sum_{j > J(eps)} l_j."""
-        return self.tail_sum_beyond_index(self.J(eps))
-
     def tail_sum_beyond_index(self, m):
         """sum_{j > m} l_j."""
         raise NotImplementedError
@@ -448,12 +444,9 @@ def make_profile(L: float, derived: DerivedFunctions) -> AnalyticString:
         raise ConstructionError("profile start index unresolvable: %s" % exc)
 
     def length_fn(js):
-        js = np.asarray(js, dtype=float)
-        out = np.full(js.shape, clamp)
-        free = js >= j0
-        if np.any(free):
-            out[free] = L * derived.g(js[free])
-        return out
+        # g(j0) is elementwise the clamp: H_inv roots do not depend on
+        # their neighbours in the array
+        return L * derived.g(np.maximum(np.asarray(js, dtype=float), j0))
 
     def inv_hint(eps):
         # l_j > eps  <=>  j < 1/H(eps/L); eps at or above the clamp gives 1

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from fractal_strings import (ExplicitString, RunLengthString, ZetaContext,
                              eigen_count, eta, make_a_string, make_cantor,
-                             make_derived, make_interval, packing_defect,
-                             power_log, records_to_csv,
-                             remainder_identity_check, second_term_probe, w_k,
-                             weyl_term, zeta, zeta_from_wk)
+                             make_derived, make_interval, make_profile,
+                             packing_defect, power_log, records_to_csv,
+                             remainder_identity_check, second_term_probe,
+                             spectral, spectral_point, w_k, weyl_term, zeta,
+                             zeta_from_wk)
 
 # reference values computed with mpmath at 30 digits
 ZETA_03 = -0.904559257253983990007876151834
@@ -156,6 +157,64 @@ def test_count_and_defect_match_fraction_sums(case):
     delta = sum(p - f for p, f in zip(products, floors))
     assert packing_defect(s, x) == pytest.approx(
         float(delta), abs=1e-12 * max(1.0, float(sum(products))))
+
+
+def _fraction(l, x):
+    """{l x} from p = l*x in Python floats; where p is an integer, from
+    the exact error e = l x - p (a product's error is a double)."""
+    p = l * x
+    if p != math.floor(p):
+        return p - math.floor(p)
+    e = float(Fraction(l) * Fraction(x) - Fraction(p))
+    return e - math.floor(e)
+
+
+def _assert_head_sum_is_fsum_of_fractions(string, x):
+    _, head, n = spectral._head(string, x)
+    lengths = string.length(np.arange(1, n + 1)).tolist() if n else []
+    assert head == math.fsum(_fraction(l, x) for l in lengths)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_near_integer_products())
+def test_head_fraction_sum_is_fsum_of_single_fractions(case):
+    lam, lengths = case
+    _assert_head_sum_is_fsum_of_fractions(ExplicitString(lengths),
+                                          math.sqrt(lam) / math.pi)
+
+
+def _sweep_profile():
+    return make_profile(1.0, make_derived(power_log(0.5), 0.5))
+
+
+def test_profile_head_fraction_sum_at_1e24():
+    # the benchmark sweep's longest head: 564 189 lengths
+    x = math.sqrt(1e24) / math.pi
+    assert spectral._head(_sweep_profile(), x)[2] == 564189
+    _assert_head_sum_is_fsum_of_fractions(_sweep_profile(), x)
+
+
+@pytest.mark.parametrize("name, string", [
+    ("cantor", make_cantor()),
+    ("explicit", make_a_string(1.0).truncate(10 ** 5)),
+    ("profile", _sweep_profile()),
+])
+def test_count_and_defect_equal_spectral_point(name, string):
+    for lam in np.geomspace(1e2, 1e22, 9).tolist() + [2.6210350237577547e25]:
+        x = math.sqrt(lam) / math.pi
+        n, _, delta = spectral_point(string, lam)
+        assert eigen_count(string, lam) == n
+        assert packing_defect(string, x) == delta
+
+
+@pytest.mark.parametrize("slice_length", [1, 7, 4096])
+def test_limb_sums_in_slices_match_one_slice(monkeypatch, slice_length):
+    string = make_a_string(1.0).truncate(10 ** 5)
+    xs = [math.sqrt(lam) / math.pi for lam in (1e12, 1e18, 1e22)]
+    whole = [spectral._head(string, x) for x in xs]
+    monkeypatch.setattr(spectral, "_SLICE", slice_length)
+    assert [spectral._head(string, x) for x in xs] == whole
+    _assert_head_sum_is_fsum_of_fractions(string, xs[1])
 
 
 def test_cantor_count_at_float_floor_fault():

@@ -6,9 +6,9 @@ import pytest
 from scipy.special import polygamma
 
 from fractal_strings import (AnalyticString, ExplicitString, RunLengthString,
-                             bundled_examples, make_a_string, make_cantor,
-                             make_interval, make_profile, make_derived,
-                             power_log, string_from_json)
+                             bundled_examples, gauge_from_json, make_a_string,
+                             make_cantor, make_interval, make_profile,
+                             make_derived, power_log, string_from_json)
 from fractal_strings.errors import ConstructionError
 from fractal_strings.strings import (_MAX_PANELS, _PANEL_FACTOR, _gauge_side_integral,
                                      _gauss_panel, _panel_integral_to_inf)
@@ -31,7 +31,7 @@ def test_explicit_tail_and_head_sums():
     vals = [2.0 ** -k for k in range(1, 21)]
     s = ExplicitString(vals)
     # strict comparison: the length equal to the threshold stays in the tail
-    assert s.tail_sum_beyond(2.0 ** -6) == pytest.approx(sum(vals[5:]), rel=1e-15)
+    assert s.tail_sum_beyond_index(s.J(2.0 ** -6)) == pytest.approx(sum(vals[5:]), rel=1e-15)
     head = s.total_length() - s.tail_sum_beyond_index(5)
     assert head == pytest.approx(sum(vals[:5]), rel=1e-15)
 
@@ -42,7 +42,8 @@ def test_runlength_agrees_with_flat_expansion():
     flat = ExplicitString([0.5] + [0.2] * 3 + [0.05] * 7)
     for eps in (0.6, 0.5, 0.3, 0.2, 0.1, 0.05, 0.01):
         assert rl.J(eps) == flat.J(eps)
-        assert rl.tail_sum_beyond(eps) == pytest.approx(flat.tail_sum_beyond(eps), rel=1e-14)
+        assert rl.tail_sum_beyond_index(rl.J(eps)) == pytest.approx(
+            flat.tail_sum_beyond_index(flat.J(eps)), rel=1e-14)
     for n in (1, 4, 9, 11):
         assert rl.total_length() - rl.tail_sum_beyond_index(n) == pytest.approx(
             flat.total_length() - flat.tail_sum_beyond_index(n), rel=1e-14)
@@ -69,7 +70,7 @@ def test_cantor_block_structure():
     assert c.J(3.0 ** -4) == 2 ** 3 - 1
     assert c.J(3.0 ** -4 * 0.999) == 2 ** 4 - 1
     # tail beyond J(3^-4) starts at the 3^-4 block itself
-    assert c.tail_sum_beyond(3.0 ** -4) == pytest.approx(
+    assert c.tail_sum_beyond_index(c.J(3.0 ** -4)) == pytest.approx(
         (2 / 3) ** 3 - (2 / 3) ** 10, rel=1e-12)
 
 
@@ -98,7 +99,7 @@ def test_a_string_lengths_and_tail():
     # tail telescopes: sum_{j>m} l_j = (m+1)^-a; J is strict so the length
     # at the threshold is part of the tail
     eps = s.length(100)
-    assert s.tail_sum_beyond(eps) == pytest.approx(1 / 100, rel=1e-13)
+    assert s.tail_sum_beyond_index(s.J(eps)) == pytest.approx(1 / 100, rel=1e-13)
 
 
 def test_a_string_counting_vs_bruteforce():
@@ -120,7 +121,7 @@ def test_interval_is_single_length():
     s = make_interval(0.7)
     assert s.count() == 1
     assert s.J(0.5) == 1 and s.J(0.7) == 0
-    assert s.tail_sum_beyond(0.8) == pytest.approx(0.7)
+    assert s.tail_sum_beyond_index(s.J(0.8)) == pytest.approx(0.7)
 
 
 def test_profile_matches_g_exactly():
@@ -135,6 +136,30 @@ def test_profile_clamped_prefix_is_non_increasing():
     p = make_profile(1.0, d)
     lengths = [p.length(j) for j in range(1, 50)]
     assert all(a >= b for a, b in zip(lengths, lengths[1:]))
+
+
+def _profile_cases():
+    examples = bundled_examples()
+    cases = [(name, float(examples[name].string_spec["L"]),
+              make_derived(gauge_from_json(examples[name].string_spec["gauge"]),
+                           examples[name].D))
+             for name in ("profile_log_D0.3", "profile_log_D0.7")]
+    return cases + [("power_D0.5", 1.0, make_derived(power_log(0.5), 0.5))]
+
+
+@pytest.mark.parametrize("name, L, derived", _profile_cases())
+def test_profile_lengths_equal_the_masked_clamp(name, L, derived):
+    # the clamped prefix, the indices around j0, a 5.6e5-length head and
+    # indices far out, against l_j = clamp below j0 and L g(j) from j0 on
+    j0 = max(1, math.ceil(derived.valid_from))
+    clamp = L * derived.g(float(j0))
+    js = np.concatenate([np.arange(1.0, 2.0 * j0 + 2.0), np.arange(1.0, 564190.0),
+                         np.geomspace(10.0, 1e20, 200)])
+    expected = np.full(js.shape, clamp)
+    free = js >= j0
+    expected[free] = L * derived.g(js[free])
+    assert make_profile(L, derived).length(js).tolist() == expected.tolist()
+    assert (j0 > 1) == name.startswith("profile_log")
 
 
 def test_profile_counting_consistency():
@@ -318,7 +343,7 @@ def test_grid_forms_equal_scalar_forms(name, string, eps):
         assert max(js) > 2 ** 63
     tails = string.tail_sum_beyond_index(js)
     assert tails.tolist() == [string.tail_sum_beyond_index(j) for j in js.tolist()]
-    assert string.tail_sum_beyond(eps).tolist() == tails.tolist()
+    assert string.tail_sum_beyond_index(string.J(eps)).tolist() == tails.tolist()
     index = np.array([j for j in js.tolist() if j >= 1], dtype=object)
     assert string.length(index).tolist() == [string.length(j) for j in index.tolist()]
     # any shape: a 2-d grid gives a 2-d answer
