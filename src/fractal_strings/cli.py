@@ -77,11 +77,12 @@ def cmd_verify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     spec = _load_json(args.config)
+    config_grids(spec)
+    if args.lmax <= args.lmin or args.lmin <= 0:
+        _fail(2, "need 0 < lmin < lmax")
     string = string_from_json(spec["string"])
     gauge = gauge_from_json(spec["gauge"])
     derived = make_derived(gauge, float(spec["D"]))
-    if args.lmax <= args.lmin or args.lmin <= 0:
-        _fail(2, "need 0 < lmin < lmax")
     lams = np.geomspace(args.lmin, args.lmax, args.steps)
     records = second_term_probe(string, derived, lams)
     if args.format == "csv":

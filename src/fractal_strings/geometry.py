@@ -66,7 +66,6 @@ class ContentEstimate:
     lower: float
     upper: float
     kind: str  # "minkowski" | "s"
-    gauge_index: float
     verdict: str  # "measurable" | "nondegenerate" | "degenerate"
     grid: ScaleGrid
     drift_slope: float = 0.0
@@ -125,7 +124,7 @@ def trailing_extremes(values: np.ndarray, scales: np.ndarray):
 
 
 def _estimate(kind: str, ratios: np.ndarray, scales: np.ndarray,
-              gauge: GaugeFunction, band: float) -> ContentEstimate:
+              band: float) -> ContentEstimate:
     """Classify the trailing spread of sampled content ratios."""
     lo, hi, slope = trailing_extremes(ratios, scales)
     if not (lo > 0.0 and math.isfinite(hi)) or abs(slope) > DRIFT_SLOPE_TOL:
@@ -134,8 +133,7 @@ def _estimate(kind: str, ratios: np.ndarray, scales: np.ndarray,
         verdict = "measurable"
     else:
         verdict = "nondegenerate"
-    return ContentEstimate(lower=lo, upper=hi, kind=kind,
-                           gauge_index=gauge.index, verdict=verdict,
+    return ContentEstimate(lower=lo, upper=hi, kind=kind, verdict=verdict,
                            grid=ScaleGrid(scales=scales, values=ratios),
                            drift_slope=slope)
 
@@ -151,14 +149,14 @@ def content_estimates(string: FractalString, gauge: GaugeFunction,
     if scales.max() > gauge.domain_upper:
         raise DomainError("grid scales exceed the gauge domain")
     volumes, counts = _volume_and_count(string, scales)
-    mink = _estimate("minkowski", volumes / gauge.h(scales), scales, gauge, band)
+    mink = _estimate("minkowski", volumes / gauge.h(scales), scales, band)
     dh = np.atleast_1d(gauge.dh(scales))
     keep = dh != 0.0
     if not np.all(keep):
         warnings.warn("content_estimates: skipped scales where h' vanishes")
     if not np.any(keep):
         raise NumericError("h' vanishes at every sampled scale")
-    sest = _estimate("s", 2.0 * counts[keep] / dh[keep], scales[keep], gauge, band)
+    sest = _estimate("s", 2.0 * counts[keep] / dh[keep], scales[keep], band)
     return mink, sest
 
 

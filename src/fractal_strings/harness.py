@@ -126,8 +126,8 @@ class VerificationReport:
         }
 
 
-def _ratio_assertion(label: str, f1, f2, grid: ScaleGrid, band: float) -> AssertionResult:
-    verdict = classify_ratio(f1, f2, grid, band=band)
+def _ratio_assertion(label: str, num, den, grid: ScaleGrid, band: float) -> AssertionResult:
+    verdict = classify_ratio(num, den, grid, band=band)
     cls = verdict.classification
     if cls == "similar" and abs(verdict.drift_slope) > _DRIFT_TOL:
         cls = "neither"  # trailing samples still drifting to 0 or infinity
@@ -174,7 +174,7 @@ def run_verify(config: ExperimentConfig) -> VerificationReport:
         lengths = string.length(js)
         g_vals = derived.g(js.astype(float))
         assertions["iii"] = _ratio_assertion(
-            "l_j against g(j)", lambda t: lengths, lambda t: g_vals, j_grid, band)
+            "l_j against g(j)", lengths, g_vals, j_grid, band)
         L_hat = float(np.median(trailing_third(lengths / g_vals)))
     else:
         assertions["iii"] = AssertionResult(
@@ -191,13 +191,12 @@ def run_verify(config: ExperimentConfig) -> VerificationReport:
         deltas = np.array([delta for _, _, delta in points])
         f_x = derived.f(xs)
         assertions["iv"] = _ratio_assertion(
-            "delta(x) against f(x)", lambda t: deltas, lambda t: f_x,
-            ScaleGrid(scales=xs), band)
+            "delta(x) against f(x)", deltas, f_x, ScaleGrid(scales=xs), band)
         remainders = np.array([phi - n for n, phi, _ in points])
         f_sq = derived.f(np.sqrt(lams))
         assertions["v"] = _ratio_assertion(
-            "phi - N against f(sqrt(lambda))", lambda t: remainders,
-            lambda t: f_sq, ScaleGrid(scales=lams), band)
+            "phi - N against f(sqrt(lambda))", remainders, f_sq,
+            ScaleGrid(scales=lams), band)
     else:
         for key, label in (("iv", "delta(x) against f(x)"),
                            ("v", "phi - N against f(sqrt(lambda))")):
@@ -219,7 +218,7 @@ def run_verify(config: ExperimentConfig) -> VerificationReport:
         {"lower": sest.lower, "upper": sest.upper})
     if L_hat is not None:
         scaled = L_hat * g_vals
-        v8 = classify_ratio(lambda t: lengths, lambda t: scaled, j_grid, band=band)
+        v8 = classify_ratio(lengths, scaled, j_grid, band=band)
         assertions["viii"] = AssertionResult(
             "l_j ~ L g(j)", True, v8.classification,
             v8.classification == "equivalent",

@@ -18,7 +18,11 @@ from .gauge import rv_defect  # noqa: F401  (re-exported)
 from .geometry import DEFAULT_BAND, ScaleGrid, trailing_extremes
 from .strings import _em_tail_sum, _panel_integral
 
-_TAIL_SPLICE_FACTOR = 1e3
+
+def _on_arrays(fn: Callable) -> Callable:
+    """fn applied to a float array one float at a time, so a scalar-only
+    callable serves the array quadrature."""
+    return lambda t: np.array([float(fn(v)) for v in np.ravel(t).tolist()])
 
 
 @dataclass(frozen=True)
@@ -48,26 +52,25 @@ def extract_representation(l: Callable, a: float, y_grid,
     ys = np.sort(np.asarray(y_grid, dtype=float))
     if ys.size == 0:
         raise ValueError("empty y grid")
-
-    def deriv(u):
-        if dl is not None:
-            return float(dl(u))
-        step = u * 1e-6
-        return (float(l(u + step)) - float(l(u - step))) / (2 * step)
+    l = _on_arrays(l)
+    if dl is None:
+        def dl(u):
+            step = u * 1e-6
+            return (l(u + step) - l(u - step)) / (2 * step)
+    else:
+        dl = _on_arrays(dl)
 
     def eps(u):
-        val = -u * deriv(u) / float(l(u))
-        if not math.isfinite(val):
-            raise NumericError("non-finite l'/l at u = %g" % u)
+        val = -u * dl(u) / l(u)
+        if not np.all(np.isfinite(val)):
+            raise NumericError("non-finite l'/l at u = %g" % u[~np.isfinite(val)][0])
         return val
 
-    eps_vals = np.array([eps(u) for u in ys])
-    if np.any(~np.isfinite(eps_vals)):
-        raise NumericError("non-finite elasticity on the grid")
-    c = float(l(a))
+    eps_vals = eps(ys)
+    c = float(l(a)[0])
     recon = np.array([c * math.exp(_panel_integral(lambda u: eps(u) / u, y, a))
-                      for y in ys])
-    inputs = np.array([float(l(y)) for y in ys])
+                      for y in ys.tolist()])
+    inputs = l(ys)
     return RepresentationDecomposition(
         anchor=float(a), y_grid=ys, c_values=np.full(ys.size, c),
         eps_values=eps_vals, limit_C=c, reconstruction=recon,
@@ -88,16 +91,14 @@ def karamata_direct(f: Callable, rho: float, sigma: float, x: float, X: float,
     if half == "direct":
         direct = True
 
-    def integrand(u):
-        return u ** sigma * float(f(u))
+    f = _on_arrays(f)
+    fx = float(f(x)[0])
 
-    if direct:
-        return x ** (sigma + 1) * float(f(x)) / _panel_integral(integrand, X, x)
-    splice = _TAIL_SPLICE_FACTOR * x
-    integral = _panel_integral(integrand, x, splice)
-    # analytic power-law closure beyond the splice point
-    integral += -splice ** (sigma + 1) * float(f(splice)) / (sigma + rho + 1.0)
-    return x ** (sigma + 1) * float(f(x)) / integral
+    def integrand(u):
+        return u ** sigma * f(u)
+
+    integral = _panel_integral(integrand, X, x) if direct else _panel_integral(integrand, x)
+    return x ** (sigma + 1) * fx / integral
 
 
 def tail_sum_rv(g: Callable, rho: float, k: int):
@@ -120,38 +121,29 @@ def tail_sum_rv(g: Callable, rho: float, k: int):
 
 @dataclass(frozen=True)
 class RatioVerdict:
-    """Sampled liminf/limsup of f1/f2 with a coarse classification."""
+    """Sampled liminf/limsup of num/den with a coarse classification."""
 
     liminf_estimate: float
     limsup_estimate: float
     classification: str  # "equivalent" | "similar" | "neither"
-    drift_slope: float   # log-log slope of f1/f2 over the whole grid
-    grid: ScaleGrid
+    drift_slope: float   # log-log slope of num/den over the whole grid
     values: np.ndarray = field(repr=False, default=None)
 
 
-def classify_ratio(f1: Callable, f2: Callable, grid: ScaleGrid,
+def classify_ratio(num, den, grid: ScaleGrid,
                    band: float = DEFAULT_BAND) -> RatioVerdict:
-    """Classify f1/f2 on the grid as ~ (equivalent), asymp (similar) or neither.
+    """Classify num/den, sampled at the grid's scales, as ~ (equivalent),
+    asymp (similar) or neither.
 
     liminf/limsup are estimated from the trailing third of the samples;
     the drift slope is fitted over all of them.
     """
-    scales = grid.scales
-    if scales.size < 9:
-        raise ValueError("grid too short: need at least 9 scales")
-    try:
-        num = np.asarray(f1(scales), dtype=float)
-        den = np.asarray(f2(scales), dtype=float)
-        if num.shape != scales.shape or den.shape != scales.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        num = np.array([float(f1(s)) for s in scales])
-        den = np.array([float(f2(s)) for s in scales])
+    num = np.asarray(num, dtype=float)
+    den = np.asarray(den, dtype=float)
     if np.any(den <= 0.0):
-        raise ValueError("f2 must be positive on the grid")
+        raise ValueError("den must be positive on the grid")
     values = num / den
-    lo, hi, slope = trailing_extremes(values, scales)
+    lo, hi, slope = trailing_extremes(values, grid.scales)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         cls = "neither"
     elif 1.0 - band <= lo and hi <= 1.0 + band:
@@ -161,5 +153,4 @@ def classify_ratio(f1: Callable, f2: Callable, grid: ScaleGrid,
     else:
         cls = "neither"
     return RatioVerdict(liminf_estimate=lo, limsup_estimate=hi,
-                        classification=cls, drift_slope=slope, grid=grid,
-                        values=values)
+                        classification=cls, drift_slope=slope, values=values)

@@ -8,13 +8,9 @@ phi(lambda) - N(lambda) = delta(x) = sum_j {l_j x} holds exactly.
 Floors are exact for the stored float lengths: where p = fl(l_j x) is an
 integer, the exact split l_j x = p + e (Dekker's TwoProduct with Veltkamp's
 splitting) decides which side of p the product lies on, and N is a Python
-int however large.
-
-The head's fraction sum is exact before its one rounding.  Every head
-product that is not an integer exceeds 1 - 2^-49 > 1/2, so its fraction
-p - floor(p) is a multiple of 2^-53.  Scaled by 2^27, it is an integer limb
-below 2^27 plus a multiple of 2^-26 below 1, and np.sum over up to 2^26 of
-either limb never rounds.  ``eigen_count`` forms no fractions at all.
+int however large.  A unit-weight head's fraction sum is exact before its
+one rounding (see ``_unit_fraction_sum``); ``eigen_count`` forms no
+fractions at all.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ def _product_error(a, b):
 
 
 # a unit-weight head's fractions are scaled by _LIMB and summed in limbs,
-# _SLICE lengths at a time (see _head)
+# _SLICE lengths at a time (see _unit_fraction_sum)
 _LIMB = 2.0 ** 27
 _SLICE = 1 << 26
 
@@ -54,7 +50,7 @@ _SLICE = 1 << 26
 def _head_products(string: FractalString, x: float):
     """(mult, p, floor(p), tie indices, e at the ties) for the head: one
     runs_above(eps), p = fl(l_j x), and e with l_j x = p + e exactly where
-    p is an integer.
+    p is an integer; mult is None for unit weights.
 
     eps lies just below 1/x, so the head holds every length whose exact
     product with x reaches 1; a length left out has floor(l_j x) = 0 and
@@ -72,21 +68,29 @@ def _head_products(string: FractalString, x: float):
 def _count(mult, floors, at, err_floors) -> int:
     """N = sum_j m_j floor(l_j x) as an exact int, err_floors correcting
     the ties."""
-    weights = np.asarray(mult, dtype=float)
-    # einsum, not BLAS dot: a threaded dot spins its idle threads on long
-    # heads, and einsum forms no product array
-    n = float(np.einsum("i,i->", weights, floors))
-    if n < 2.0 ** 53:
-        # non-negative integer terms below 2^53: every partial sum is exact
-        return int(n + np.einsum("i,i->", weights[at], err_floors))
-    return (sum(int(m) * int(f) for m, f in zip(mult.tolist(), floors.tolist()))
-            + sum(int(m) * int(d)
-                  for m, d in zip(mult[at].tolist(), err_floors.tolist())))
+    if mult is None:
+        n = float(floors.sum())
+        if n < 2.0 ** 53:
+            # non-negative integer terms below 2^53: every partial sum is exact
+            return int(n + err_floors.sum())
+        return sum(map(int, floors.tolist())) + int(err_floors.sum())
+    # Python-int multiplicities, at most depth blocks
+    return (sum(m * int(f) for m, f in zip(mult.tolist(), floors.tolist()))
+            + sum(m * int(d) for m, d in zip(mult[at].tolist(), err_floors.tolist())))
 
 
 def _unit_fraction_sum(fracs, floors, ties) -> float:
-    """math.fsum of fracs (0 at the ties) and ties, bit for bit, by the
-    limb split that _head describes; fracs and floors are overwritten."""
+    """math.fsum of fracs (0 at the ties) and ties, bit for bit, with
+    fracs and floors overwritten.
+
+    Every head product p that is not an integer exceeds 1 - 2^-49 > 1/2,
+    so p - floor(p) is a multiple of 2^-53 in [0, 1).  Scaled by 2^27 it
+    splits exactly into an integer limb below 2^27 and a multiple of 2^-26
+    below 1.  np.sum over up to 2^26 of either limb never rounds: the
+    totals stay below 2^53, and below 2^52 units of 2^-26.  One fsum over
+    the limb totals and the tie fractions then equals fsum over all the
+    fractions.
+    """
     fracs *= _LIMB
     np.floor(fracs, out=floors)
     fracs -= floors
@@ -99,26 +103,18 @@ def _head(string: FractalString, x: float):
     """(N, sum of {l_j x} over the head, number of head lengths).
 
     A run-length head has Python-int multiplicities and at most ``depth``
-    blocks: it keeps the weighted fsum.  Any other head has unit weights,
-    and its fraction sum is exact up to one final rounding.  Every p that
-    is not an integer exceeds 1 - 2^-49 > 1/2, so p - floor(p) is a
-    multiple of 2^-53 in [0, 1).  Scaled by 2^27 it splits exactly into an
-    integer limb below 2^27 and a multiple of 2^-26 below 1.  np.sum over
-    up to 2^26 of either limb never rounds: the totals stay below 2^53, and
-    below 2^52 units of 2^-26.  One fsum over the limb totals and the tie
-    fractions e - floor(e) then equals fsum over all the fractions.
+    blocks: it keeps the weighted fsum.  A unit-weight head sums its
+    fractions in exact limbs.
     """
     mult, fracs, floors, at, err = _head_products(string, x)
     err_floors = np.floor(err)
     n = _count(mult, floors, at, err_floors)
     fracs -= floors
     ties = err - err_floors
-    if mult.dtype == object:
-        fracs[at] = ties
-        head = math.fsum(np.asarray(mult, dtype=float) * fracs)
-    else:
-        head = _unit_fraction_sum(fracs, floors, ties)
-    return n, head, int(mult.sum())
+    if mult is None:
+        return n, _unit_fraction_sum(fracs, floors, ties), fracs.size
+    fracs[at] = ties
+    return n, math.fsum(np.asarray(mult, dtype=float) * fracs), int(mult.sum())
 
 
 def eigen_count(string: FractalString, lam: float) -> int:

@@ -51,9 +51,17 @@ def _shaped(values: np.ndarray, shape: tuple):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
+def _panel_rule(edges):
+    """Nodes and weights of the 32-point Gauss-Legendre rule on each panel
+    [edges[k], edges[k + 1]], one row per panel."""
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * _GL_NODES, 0.5 * (hi - lo) * _GL_WEIGHTS
+
+
 def _exp_rule():
-    """Nodes and weights for int_0^inf e^-s r(s) ds: the 32-point
-    Gauss-Legendre rule on the panels [0, 1], [1, 2], [2, 4], ..., [128, 256].
+    """Nodes and weights for int_0^inf e^-s r(s) ds: the panel rule on
+    [0, 1], [1, 2], [2, 4], ..., [128, 256].
 
     A gauge-side ratio r grows like a power of s and is singular at
     s = -rho ln(1/Y), which nears 0 for small rho.  Each doubling panel is
@@ -61,10 +69,9 @@ def _exp_rule():
     loses up to seven digits (1e-7 at the domain top of rho = 0.1,
     alpha = -0.5).  Beyond 256, e^-s is below 1e-111.
     """
-    edges = np.array([0.0, *2.0 ** np.arange(9)])
-    lo, hi = edges[:-1, None], edges[1:, None]
-    nodes = (0.5 * (lo + hi) + 0.5 * (hi - lo) * _GL_NODES).ravel()
-    return nodes, (0.5 * (hi - lo) * _GL_WEIGHTS).ravel() * np.exp(-nodes)
+    nodes, weights = _panel_rule([0.0, *2.0 ** np.arange(9)])
+    nodes = nodes.ravel()
+    return nodes, weights.ravel() * np.exp(-nodes)
 
 
 _EXP_NODES, _EXP_WEIGHTS = _exp_rule()
@@ -76,59 +83,38 @@ _MAX_PANELS = 250
 _PANEL_BATCH = 8
 
 
-def _gauss_panel(fn: Callable, lo: float, hi: float) -> float:
-    """int_lo^hi fn by the 32-point Gauss-Legendre rule; fn takes float arrays."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    values = np.asarray(fn(mid + half * _GL_NODES), dtype=float)
-    return half * float(np.dot(_GL_WEIGHTS, values))
+def _panel_integral(fn: Callable, a: float, b: float = math.inf) -> float:
+    """int_a^b fn, for a, b > 0 and fn taking float arrays, by the panel
+    rule on geometric panels of ratio at most _PANEL_FACTOR.
 
-
-def _panel_integral_to_inf(fn: Callable, a: float) -> float:
-    """int_a^inf fn via 32-point Gauss-Legendre on geometric panels.
-
-    fn must accept float arrays and decay at least like a power t^-p, p > 1.
-    Panels [a q^k, a q^(k+1)] are accumulated until their contribution is
-    negligible relative to the running total.  One fn call takes the nodes
-    of up to _PANEL_BATCH panels, and none past the panel that crosses 1e300.
+    A finite range takes one fn call over equal panels, summed by fsum;
+    b < a gives the negated integral.  To infinity, fn must decay at least
+    like a power t^-p, p > 1: panels [a q^k, a q^(k+1)] are added until
+    one is negligible against the running total.  One fn call takes the
+    nodes of up to _PANEL_BATCH panels, and none past the panel that
+    crosses 1e300.
     """
+    if not (a > 0.0 and b > 0.0):
+        raise ValueError("integration limits must be positive")
+    if math.isfinite(b):
+        n = max(1, math.ceil(abs(math.log(b / a)) / math.log(_PANEL_FACTOR)))
+        nodes, weights = _panel_rule(np.geomspace(a, b, n + 1))
+        return math.fsum(weights.ravel() * np.asarray(fn(nodes.ravel()), dtype=float))
     total = 0.0
     lo = a
     for first in range(0, _MAX_PANELS, _PANEL_BATCH):
         edges = [lo]
         while len(edges) <= min(_PANEL_BATCH, _MAX_PANELS - first) and edges[-1] <= 1e300:
             edges.append(edges[-1] * _PANEL_FACTOR)
-        los = np.array(edges[:-1])
-        his = np.array(edges[1:])
-        halves = 0.5 * (his - los)
-        nodes = 0.5 * (los + his)[:, None] + halves[:, None] * _GL_NODES
+        nodes, weights = _panel_rule(edges)
         values = np.asarray(fn(nodes.ravel()), dtype=float).reshape(nodes.shape)
-        for half, row, hi in zip(halves.tolist(), values, edges[1:]):
-            panel = half * float(np.dot(_GL_WEIGHTS, row))
+        for w, row, hi in zip(weights, values, edges[1:]):
+            panel = float(np.dot(w, row))
             total += panel
             if abs(panel) <= 1e-15 * abs(total) or hi > 1e300:
                 return total
         lo = edges[-1]
     raise NumericError("tail integral did not converge within the panel budget")
-
-
-def _panel_integral(fn: Callable[[float], float], a: float, b: float) -> float:
-    """int_a^b fn for a, b > 0, by the same rule on equal geometric panels
-    of ratio at most _PANEL_FACTOR.
-
-    fn is called with one float node at a time, so scalar-only callables
-    work.  b < a gives the negated integral.
-    """
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError("integration limits must be positive")
-    n = max(1, math.ceil(abs(math.log(b / a)) / math.log(_PANEL_FACTOR)))
-    edges = np.geomspace(a, b, n + 1)
-
-    def nodewise(ts):
-        return [float(fn(float(t))) for t in ts]
-
-    return math.fsum(_gauss_panel(nodewise, lo, hi)
-                     for lo, hi in zip(edges[:-1], edges[1:]))
 
 
 def _em_tail_sum(fn: Callable, ms: Sequence[int],
@@ -155,7 +141,7 @@ def _em_tail_sum(fn: Callable, ms: Sequence[int],
     ends = np.cumsum([points.size] + [d.size for d in direct]).tolist()
     sums = np.array([math.fsum(values[lo:hi]) for lo, hi in zip(ends, ends[1:])])
     if integral is None:
-        integrals = np.array([_panel_integral_to_inf(fn, a) for a in M.tolist()])
+        integrals = np.array([_panel_integral(fn, a) for a in M.tolist()])
     else:
         integrals = integral(M, f0)
     d1 = (-25 * f0 + 48 * f1 - 36 * f2 + 16 * f3 - 3 * f4) / (12 * step)
@@ -195,9 +181,10 @@ class FractalString:
         """Number of lengths strictly larger than eps."""
         raise NotImplementedError
 
-    def runs_above(self, eps: float) -> Tuple[np.ndarray, np.ndarray]:
-        """(values, multiplicities) of the lengths strictly larger than eps,
-        as arrays; run-length multiplicities are exact Python ints."""
+    def runs_above(self, eps: float) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """(values, multiplicities) of the lengths strictly larger than eps:
+        run-length multiplicities are exact Python ints, and unit weights
+        are None."""
         raise NotImplementedError
 
     def tail_sum_beyond_index(self, m):
@@ -243,8 +230,7 @@ class ExplicitString(FractalString):
                        e.shape)
 
     def runs_above(self, eps: float):
-        j = self.J(eps)
-        return self._vals[:j], np.ones(j)
+        return self._vals[:self.J(eps)], None
 
     def tail_sum_beyond_index(self, m):
         mm = np.minimum(np.asarray(m, dtype=object).ravel(), self._vals.size)
@@ -382,7 +368,7 @@ class AnalyticString(FractalString):
     def runs_above(self, eps: float):
         j = self.J(eps)
         js = np.arange(1, j + 1, dtype=float)
-        return np.asarray(self._fn(js), dtype=float), np.ones(j)
+        return np.asarray(self._fn(js), dtype=float), None
 
     def tail_sum_beyond_index(self, m):
         if self._tail is not None:

@@ -148,6 +148,24 @@ def test_cli_content_rejects_unknown_keys(tmp_path, capsys):
     assert "grids.jfactor" in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_cli_spectrum_rejects_unknown_keys(tmp_path, capsys):
+    path = _write_config(tmp_path, dict(A1_CONFIG, grids={"nn": 9}, bnad=0.05))
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", path])
+    assert exc.value.code == 2
+    assert ("unknown config key(s): bnad, grids.nn"
+            in json.loads(capsys.readouterr().err)["error"])
+
+
+def test_cli_spectrum_checks_the_lambda_range_before_the_string(tmp_path, capsys):
+    # an unknown string kind would exit 2 too, naming the kind
+    path = _write_config(tmp_path, dict(A1_CONFIG, string={"kind": "nope"}))
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", path, "--lmin", "1e6", "--lmax", "1e4"])
+    assert exc.value.code == 2
+    assert "lmin" in json.loads(capsys.readouterr().err)["error"]
+
+
 @pytest.mark.parametrize("part, spec, key", [
     # a misspelt depth would build the depth-96 string
     ("string", {"kind": "cantor", "dpeth": 10}, "dpeth"),
@@ -236,10 +254,10 @@ def test_log_profile_verify_evaluation_budget(monkeypatch, name):
 @pytest.mark.parametrize("name", ["profile_power_D0.3", "profile_log_D0.3",
                                   "profile_power_D0.7", "profile_log_D0.7"])
 def test_profile_verify_takes_tails_on_the_gauge_side(monkeypatch, name):
-    def refuse(fn, a):
+    def refuse(fn, a, b=math.inf):
         raise AssertionError("Gauss-Legendre tail integral on a profile")
 
-    monkeypatch.setattr(strings, "_panel_integral_to_inf", refuse)
+    monkeypatch.setattr(strings, "_panel_integral", refuse)
     run_verify(bundled_examples()[name])
 
 

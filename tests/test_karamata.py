@@ -91,6 +91,14 @@ def test_karamata_direct_accepts_scalar_only_callables():
         pytest.approx(2.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("x", [50.0, 200.0])
+def test_karamata_tail_half_log_corrected_power(x):
+    # int_x^inf u^-3 ln u du = (2 ln x + 1) / (4 x^2)
+    f = lambda u: np.asarray(u, dtype=float) ** -3.0 * np.log(u)
+    r = karamata_direct(f, rho=-3.0, sigma=0.0, x=x, X=None)
+    assert r == pytest.approx(4.0 * math.log(x) / (2.0 * math.log(x) + 1.0), rel=1e-12)
+
+
 def test_karamata_tail_rejected_when_divergent():
     f = lambda u: np.asarray(u, dtype=float) ** 1.5
     with pytest.raises(ValueError):
@@ -124,34 +132,27 @@ def test_tail_sum_rejects_index_mismatch():
         tail_sum_rv(lambda j: np.asarray(j, dtype=float) ** -4.0, -2.0, 100)
 
 
+GRID = ScaleGrid.geometric(10.0, 2.0, 12)
+X = GRID.scales
+
+
 def test_classify_ratio_equivalent():
-    grid = ScaleGrid.geometric(10.0, 2.0, 12)
-    v = classify_ratio(lambda x: x * (1 + 1.0 / x), lambda x: x, grid)
+    v = classify_ratio(X * (1 + 1.0 / X), X, GRID)
     assert v.classification == "equivalent"
     assert v.liminf_estimate <= v.limsup_estimate
 
 
 def test_classify_ratio_similar_constant_offset():
-    grid = ScaleGrid.geometric(10.0, 2.0, 12)
-    v = classify_ratio(lambda x: 3.0 * x, lambda x: x, grid)
+    v = classify_ratio(3.0 * X, X, GRID)
     assert v.classification == "similar"
     assert v.limsup_estimate == pytest.approx(3.0)
 
 
 def test_classify_ratio_neither_for_vanishing():
-    grid = ScaleGrid.geometric(10.0, 2.0, 12)
-    v = classify_ratio(lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                       lambda x: x, grid)
+    v = classify_ratio(np.zeros_like(X), X, GRID)
     assert v.classification == "neither"
 
 
-def test_classify_ratio_accepts_scalar_callables():
-    grid = ScaleGrid.geometric(10.0, 2.0, 12)
-    v = classify_ratio(lambda x: float(x) * 2.0, lambda x: float(x), grid)
-    assert v.classification == "similar"
-
-
 def test_classify_ratio_validates_inputs():
-    grid = ScaleGrid.geometric(10.0, 2.0, 12)
     with pytest.raises(ValueError):
-        classify_ratio(lambda x: x, lambda x: -np.asarray(x, dtype=float), grid)
+        classify_ratio(X, -X, GRID)
