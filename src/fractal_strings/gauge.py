@@ -11,8 +11,7 @@ where ``log_1(1/y) = ln(1/y)`` and ``log_{i+1} = ln(log_i)``.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -251,107 +250,6 @@ def make_derived(gauge: GaugeFunction, D: float) -> DerivedFunctions:
     return DerivedFunctions(gauge=gauge, D=float(D), y1=float(y1),
                             valid_from=float(valid_from), H_y1=float(H_y1),
                             ln_H_floor=float(ln_H_floor))
-
-
-# -- condition checkers (diagnostics, not proofs) --------------------------
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    condition: str
-    satisfied: bool
-    worst_defect: float
-    detail: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "condition": self.condition,
-            "satisfied": bool(self.satisfied),
-            "worst_defect": float(self.worst_defect),
-            "detail": {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                       for k, v in self.detail.items()},
-        }
-
-
-def _default_y_grid(gauge: GaugeFunction) -> np.ndarray:
-    return np.geomspace(gauge.domain_upper * 1e-14, gauge.domain_upper, 40)
-
-
-def check_H1(gauge: GaugeFunction, y_grid: Optional[np.ndarray] = None) -> ConditionReport:
-    """Monotonicity of h and the limit trends h(y) -> 0, h(y)/y -> inf."""
-    ys = np.sort(np.asarray(y_grid, dtype=float)) if y_grid is not None else _default_y_grid(gauge)
-    if ys.size == 0:
-        raise ValueError("empty y grid")
-    hv = np.atleast_1d(gauge.h(ys))
-    diffs = np.diff(hv)
-    mono_defect = float(max(0.0, -diffs.min() / hv.max())) if diffs.size else 0.0
-    to_zero = hv[0] < hv[-1] and hv[0] < 0.5 * hv[-1]
-    ratio = hv / ys
-    to_inf = ratio[0] > ratio[-1] and ratio[0] > 2.0 * ratio[-1]
-    ok = mono_defect == 0.0 and to_zero and to_inf
-    return ConditionReport("H1", ok, mono_defect, {
-        "h_trend_to_zero": bool(to_zero),
-        "h_over_y_trend_to_inf": bool(to_inf),
-        "y_grid": ys, "h_values": hv,
-    })
-
-
-def rv_defect(h, rho: float, t_grid, y_grid) -> np.ndarray:
-    """Per-scale worst defect sup_t |h(ty)/h(y) - t**rho|.
-
-    ``h`` is a GaugeFunction, whose domain bounds the usable t, or a bare
-    callable.  A trend to 0 along y_grid (decreasing to 0) is numeric
-    evidence that h is regularly varying with index rho.
-    """
-    if isinstance(h, GaugeFunction):
-        fn, upper = h.h, h.domain_upper
-    else:
-        fn, upper = h, None
-    ts = np.asarray(t_grid, dtype=float)
-    ys = np.asarray(y_grid, dtype=float)
-    if ts.size == 0 or ys.size == 0:
-        raise ValueError("empty grid")
-    out = np.empty(ys.size)
-    for i, y in enumerate(ys):
-        usable = ts if upper is None else ts[ts * y <= upper]
-        if usable.size < ts.size:
-            warnings.warn("rv_defect: skipped t values outside the domain")
-        if usable.size == 0:
-            raise ValueError("all t values leave the domain at y = %g" % y)
-        ratio = np.atleast_1d(fn(usable * y)) / fn(y)
-        out[i] = float(np.max(np.abs(ratio - usable ** rho)))
-    return out
-
-
-def check_H2(gauge: GaugeFunction, t_grid: np.ndarray, y_grid: np.ndarray) -> ConditionReport:
-    """Worst homogeneity defect sup_t |h(ty)/h(y) - t**rho| per scale."""
-    ys = np.sort(np.asarray(y_grid, dtype=float))[::-1]  # decreasing toward 0
-    defects = rv_defect(gauge, gauge.index, t_grid, ys)
-    ok = defects[-1] <= defects[0] + 1e-12
-    return ConditionReport("H2", ok, float(defects.max()), {
-        "defect_per_scale": defects, "y_grid": ys,
-        "defect_at_smallest_scale": float(defects[-1]),
-    })
-
-
-def check_H3(gauge: GaugeFunction, tau: float, m: float,
-             t_grid: np.ndarray, y_grid: np.ndarray) -> ConditionReport:
-    """Check h(ty)/h(y) >= m * t**tau on the sampled (t, y) rectangle."""
-    ts = np.asarray(t_grid, dtype=float)
-    ys = np.asarray(y_grid, dtype=float)
-    if ts.size == 0 or ys.size == 0:
-        raise ValueError("empty grid")
-    ts = ts[(ts > 0) & (ts <= 1.0)]
-    if ts.size == 0:
-        raise ValueError("H3 requires t values in (0, 1]")
-    worst = np.inf
-    for y in ys:
-        ratio = np.atleast_1d(gauge.h(ts * y)) / gauge.h(y)
-        margin = ratio / (m * ts ** tau)
-        worst = min(worst, float(margin.min()))
-    return ConditionReport("H3", worst >= 1.0, worst, {
-        "tau": float(tau), "m": float(m), "min_margin": worst,
-    })
 
 
 # -- JSON wire format ------------------------------------------------------

@@ -74,13 +74,10 @@ class ContentEstimate:
     def midpoint(self) -> float:
         return 0.5 * (self.lower + self.upper)
 
-    def to_json(self, gauge_json: Optional[dict] = None) -> dict:
-        out = {"lower": self.lower, "upper": self.upper,
-               "verdict": self.verdict, "kind": self.kind,
-               "grid": self.grid.to_json()}
-        if gauge_json is not None:
-            out["gauge"] = gauge_json
-        return out
+    def to_json(self) -> dict:
+        return {"lower": self.lower, "upper": self.upper,
+                "verdict": self.verdict, "kind": self.kind,
+                "grid": self.grid.to_json()}
 
 
 def tube_volume(string: FractalString, eps):

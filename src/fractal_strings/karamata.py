@@ -8,13 +8,14 @@ diagnostics, never proofs of the corresponding limit statements.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import NumericError
-from .gauge import rv_defect  # noqa: F401  (re-exported)
+from .gauge import GaugeFunction
 from .geometry import DEFAULT_BAND, ScaleGrid, trailing_extremes
 from .strings import _em_tail_sum, _panel_integral
 
@@ -23,6 +24,33 @@ def _on_arrays(fn: Callable) -> Callable:
     """fn applied to a float array one float at a time, so a scalar-only
     callable serves the array quadrature."""
     return lambda t: np.array([float(fn(v)) for v in np.ravel(t).tolist()])
+
+
+def rv_defect(h, rho: float, t_grid, y_grid) -> np.ndarray:
+    """Per-scale worst defect sup_t |h(ty)/h(y) - t**rho|.
+
+    ``h`` is a GaugeFunction, whose domain bounds the usable t, or a bare
+    callable.  A trend to 0 along y_grid (decreasing to 0) is numeric
+    evidence that h is regularly varying with index rho.
+    """
+    if isinstance(h, GaugeFunction):
+        fn, upper = h.h, h.domain_upper
+    else:
+        fn, upper = h, None
+    ts = np.asarray(t_grid, dtype=float)
+    ys = np.asarray(y_grid, dtype=float)
+    if ts.size == 0 or ys.size == 0:
+        raise ValueError("empty grid")
+    out = np.empty(ys.size)
+    for i, y in enumerate(ys):
+        usable = ts if upper is None else ts[ts * y <= upper]
+        if usable.size < ts.size:
+            warnings.warn("rv_defect: skipped t values outside the domain")
+        if usable.size == 0:
+            raise ValueError("all t values leave the domain at y = %g" % y)
+        ratio = np.atleast_1d(fn(usable * y)) / fn(y)
+        out[i] = float(np.max(np.abs(ratio - usable ** rho)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -77,8 +105,8 @@ def extract_representation(l: Callable, a: float, y_grid,
         input_values=inputs)
 
 
-def karamata_direct(f: Callable, rho: float, sigma: float, x: float, X: float,
-                    half: Optional[str] = None) -> float:
+def karamata_direct(f: Callable, rho: float, sigma: float, x: float,
+                    X: Optional[float] = None) -> float:
     """Karamata ratio x^(sigma+1) f(x) / (weighted integral of f).
 
     For sigma >= -(rho+1) the integral runs from X to x and the ratio tends
@@ -86,11 +114,9 @@ def karamata_direct(f: Callable, rho: float, sigma: float, x: float, X: float,
     and the ratio tends to -(sigma+rho+1).
     """
     direct = sigma >= -(rho + 1.0)
-    if half == "tail" and direct:
-        raise ValueError("tail integral diverges for sigma >= -(rho+1)")
-    if half == "direct":
-        direct = True
-
+    if direct and X is None:
+        raise ValueError("X is required when sigma >= -(rho+1): "
+                         "the integral runs from X to x")
     f = _on_arrays(f)
     fx = float(f(x)[0])
 

@@ -79,7 +79,6 @@ _EM_OFFSETS = np.arange(5.0)
 # float(j) is exact below it, and J the exact count
 _EXACT_INDEX = 2 ** 53
 _PANEL_FACTOR = 8.0
-_MAX_PANELS = 250
 _PANEL_BATCH = 8
 
 
@@ -90,9 +89,10 @@ def _panel_integral(fn: Callable, a: float, b: float = math.inf) -> float:
     A finite range takes one fn call over equal panels, summed by fsum;
     b < a gives the negated integral.  To infinity, fn must decay at least
     like a power t^-p, p > 1: panels [a q^k, a q^(k+1)] are added until
-    one is negligible against the running total.  One fn call takes the
-    nodes of up to _PANEL_BATCH panels, and none past the panel that
-    crosses 1e300.
+    one is at most 1e-15 of the running total.  If no panel up to the one
+    that crosses 1e300 is, NumericError is raised: the tail decays too
+    slowly, or diverges.  One fn call takes the nodes of up to
+    _PANEL_BATCH panels, and none past the 1e300 panel.
     """
     if not (a > 0.0 and b > 0.0):
         raise ValueError("integration limits must be positive")
@@ -102,19 +102,19 @@ def _panel_integral(fn: Callable, a: float, b: float = math.inf) -> float:
         return math.fsum(weights.ravel() * np.asarray(fn(nodes.ravel()), dtype=float))
     total = 0.0
     lo = a
-    for first in range(0, _MAX_PANELS, _PANEL_BATCH):
+    while lo <= 1e300:
         edges = [lo]
-        while len(edges) <= min(_PANEL_BATCH, _MAX_PANELS - first) and edges[-1] <= 1e300:
+        while len(edges) <= _PANEL_BATCH and edges[-1] <= 1e300:
             edges.append(edges[-1] * _PANEL_FACTOR)
         nodes, weights = _panel_rule(edges)
         values = np.asarray(fn(nodes.ravel()), dtype=float).reshape(nodes.shape)
-        for w, row, hi in zip(weights, values, edges[1:]):
+        for w, row in zip(weights, values):
             panel = float(np.dot(w, row))
             total += panel
-            if abs(panel) <= 1e-15 * abs(total) or hi > 1e300:
+            if abs(panel) <= 1e-15 * abs(total):
                 return total
         lo = edges[-1]
-    raise NumericError("tail integral did not converge within the panel budget")
+    raise NumericError("tail integral from %g did not converge by 1e300" % a)
 
 
 def _em_tail_sum(fn: Callable, ms: Sequence[int],

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fractal_strings import (DomainError, NumericError, check_H1, check_H2,
-                             check_H3, gauge_from_json, gauge_to_json,
-                             make_derived, power_log, rv_defect)
+from fractal_strings import (DomainError, NumericError, gauge_from_json,
+                             gauge_to_json, make_derived, power_log)
 from fractal_strings import gauge as gauge_module
 from fractal_strings.errors import ConstructionError
 
@@ -189,38 +188,6 @@ def test_make_derived_validates_inputs():
         make_derived(power_log(0.5), 0.7)  # index mismatch
     with pytest.raises(ConstructionError):
         make_derived(power_log(0.0), 1.0)
-
-
-def test_check_H1_on_increasing_gauge():
-    rep = check_H1(power_log(0.5, [1.0]))
-    assert rep.satisfied
-    assert rep.worst_defect == 0.0
-
-
-def test_check_H1_flags_decreasing_function():
-    # h(y) = y^-0.1 decreases
-    assert not check_H1(power_log(-0.1)).satisfied
-
-
-def test_check_H2_defect_shrinks_toward_zero():
-    g = power_log(0.5, [1.0])
-    ts = np.array([0.25, 0.5, 1.0])
-    ys = np.geomspace(1e-12, 0.05, 8)
-    rep = check_H2(g, ts, ys)
-    assert rep.satisfied
-    assert rep.detail["defect_at_smallest_scale"] < rep.worst_defect
-    assert np.array_equal(rep.detail["defect_per_scale"],
-                          rv_defect(g, g.index, ts, np.sort(ys)[::-1]))
-
-
-def test_check_H3_lower_power_bound():
-    g = power_log(0.5, [1.0])
-    ts = np.linspace(0.05, 1.0, 20)
-    ys = np.geomspace(1e-10, 0.05, 8)
-    # h is RV of index 1/2 so tau slightly below 1/2 with small m holds
-    assert check_H3(g, tau=0.4, m=0.5, t_grid=ts, y_grid=ys).satisfied
-    # ... and an overly greedy constant fails
-    assert not check_H3(g, tau=0.5, m=10.0, t_grid=ts, y_grid=ys).satisfied
 
 
 def test_gauge_json_roundtrip():

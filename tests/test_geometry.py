@@ -159,11 +159,9 @@ def test_dimension_estimate_needs_three_decades():
 def test_content_estimate_json():
     s = make_a_string(1.0)
     grid = ScaleGrid.geometric(2.0 ** -10, 0.5, 31)
-    out = content_estimates(s, power_log(0.5), grid)[0].to_json(
-        gauge_json={"form": "powerlog", "rho": 0.5})
+    out = content_estimates(s, power_log(0.5), grid)[0].to_json()
     assert out["verdict"] == "measurable"
     assert out["grid"]["n"] == 31
-    assert out["gauge"]["rho"] == 0.5
 
 
 def test_array_scales_equal_scalar_scales():

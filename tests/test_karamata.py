@@ -34,6 +34,22 @@ def test_rv_defect_rejects_empty_grid():
         rv_defect(lambda y: y, 0.5, np.array([]), np.array([0.1]))
 
 
+def test_rv_defect_skips_t_outside_the_gauge_domain():
+    g = power_log(0.5, [1.0])  # domain_upper 0.1
+    ys = np.array([0.05, 1e-6])
+    with pytest.warns(UserWarning, match="skipped t values"):
+        d = rv_defect(g, 0.5, np.array([0.5, 1.0, 4.0]), ys)
+    # 4 * 0.05 leaves the domain and is dropped at that scale only
+    assert d[0] == rv_defect(g, 0.5, np.array([0.5, 1.0]), ys[:1])[0]
+    assert d[1] == rv_defect(g, 0.5, np.array([0.5, 1.0, 4.0]), ys[1:])[0]
+
+
+def test_rv_defect_rejects_a_scale_where_every_t_leaves_the_domain():
+    g = power_log(0.5, [1.0])
+    with pytest.warns(UserWarning), pytest.raises(ValueError, match="leave the domain"):
+        rv_defect(g, 0.5, np.array([4.0, 8.0]), np.array([1e-6, 0.05]))
+
+
 @pytest.mark.parametrize("l, name", [
     (lambda y: np.ones_like(np.asarray(y, dtype=float)), "const"),
     (lambda y: np.log(1 / np.asarray(y, dtype=float)), "log"),
@@ -100,9 +116,18 @@ def test_karamata_tail_half_log_corrected_power(x):
 
 
 def test_karamata_tail_rejected_when_divergent():
-    f = lambda u: np.asarray(u, dtype=float) ** 1.5
-    with pytest.raises(ValueError):
-        karamata_direct(f, rho=1.5, sigma=0.0, x=50.0, X=1.0, half="tail")
+    # sigma >= -(rho+1): the tail diverges, so the integral runs from X
+    for rho in (1.5, -1.0):
+        f = lambda u: np.asarray(u, dtype=float) ** rho
+        with pytest.raises(ValueError, match="X"):
+            karamata_direct(f, rho=rho, sigma=0.0, x=50.0)
+
+
+def test_karamata_tail_half_slow_decay():
+    # int_1^inf u^-1.05 du = 20 converges only near 1e280, short of the cut
+    f = lambda u: np.asarray(u, dtype=float) ** -1.05
+    r = karamata_direct(f, rho=-1.05, sigma=0.0, x=1.0, X=None)
+    assert r == pytest.approx(0.05, rel=1e-13)
 
 
 def test_tail_sum_against_closed_form():
