@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -108,7 +107,9 @@ def cmd_content(args) -> int:
                                int(grids.get("n", ExperimentConfig.eps_n)))
     band = float(spec.get("band", DEFAULT_BAND))
     mink, sest = content_estimates(string, gauge, grid, band=band)
-    _emit({"minkowski": mink.to_json(), "s": sest.to_json()}, args.out)
+    _emit({kind: {"lower": v.lower, "upper": v.upper, "verdict": v.verdict,
+                  "kind": kind, "grid": ScaleGrid(scales=v.scales).to_json()}
+           for kind, v in (("minkowski", mink), ("s", sest))}, args.out)
     return 0
 
 

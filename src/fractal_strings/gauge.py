@@ -37,6 +37,11 @@ def _iterated_logs(L1, depth: int):
     return logs
 
 
+def _shaped(values: np.ndarray, shape: tuple):
+    """values in the argument's shape, or a Python scalar for a scalar."""
+    return values.reshape(shape) if shape else values.item()
+
+
 @dataclass(frozen=True)
 class GaugeFunction:
     """A positive power-log gauge h on (0, domain_upper], regularly varying
@@ -79,7 +84,7 @@ class GaugeFunction:
                 out = out * L ** alpha
         if np.any(~np.isfinite(out)) or np.any(out <= 0.0):
             raise EvaluationError("h evaluated non-positive or non-finite")
-        return float(out) if np.isscalar(y) else out
+        return _shaped(out, arr.shape)
 
     def dh(self, y):
         """Evaluate h'(y) = h(y)/y * E_h(y)."""
@@ -88,7 +93,7 @@ class GaugeFunction:
         out = self.h(arr) / arr * self._elasticity(arr)
         if np.any(~np.isfinite(out)):
             raise EvaluationError("h' evaluated non-finite")
-        return float(out) if np.isscalar(y) else out
+        return _shaped(out, arr.shape)
 
     def _elasticity(self, arr):
         ela = np.full_like(np.asarray(arr, dtype=float), self.index)
@@ -103,8 +108,8 @@ class GaugeFunction:
     def elasticity(self, y):
         """E_h(y) = y h'(y)/h(y); tends to the variation index as y -> 0."""
         self._check_domain(y)
-        out = self._elasticity(np.asarray(y, dtype=float))
-        return float(out) if np.isscalar(y) else out
+        arr = np.asarray(y, dtype=float)
+        return _shaped(self._elasticity(arr), arr.shape)
 
 
 def power_log(rho: float, log_exponents: Sequence[float] = (), domain_upper: Optional[float] = None) -> GaugeFunction:
@@ -147,7 +152,8 @@ class DerivedFunctions:
     ln_H_floor: float  # ln H at the smallest subnormal y, below H_inv's domain
 
     def H(self, y):
-        return np.asarray(y, dtype=float) / self.gauge.h(y) if not np.isscalar(y) else y / self.gauge.h(y)
+        arr = np.asarray(y, dtype=float)
+        return _shaped(arr / self.gauge.h(arr), arr.shape)
 
     def H_inv(self, z):
         """Invert H on (0, y1]: closed form for pure powers, Newton in
@@ -163,8 +169,7 @@ class DerivedFunctions:
         iterations, NumericError is raised rather than an unsettled root
         returned.
         """
-        scalar = np.isscalar(z)
-        zz = np.atleast_1d(np.asarray(z, dtype=float))
+        zz = np.asarray(z, dtype=float)
         z_max = self.H_y1
         z_lo = float(zz.min(initial=math.inf))
         if z_lo <= 0.0 or zz.max(initial=0.0) > z_max * (1 + 1e-12):
@@ -176,8 +181,8 @@ class DerivedFunctions:
             # H(y) = y**D exactly
             out = zz ** (1.0 / self.D)
         else:
-            out = np.exp(self._newton(np.log(zz)))
-        return float(out[0]) if scalar else out
+            out = np.exp(self._newton(np.log(zz).ravel()))
+        return _shaped(out, zz.shape)
 
     def _newton(self, ln_z: np.ndarray) -> np.ndarray:
         """The u = ln y solving ln H(u) = ln_z, by Newton in u.
@@ -204,19 +209,14 @@ class DerivedFunctions:
 
     def f(self, x):
         """f(x) = x * h(1/x), defined for x >= 1/domain_upper."""
-        scalar = np.isscalar(x)
-        xx = np.atleast_1d(np.asarray(x, dtype=float))
+        xx = np.asarray(x, dtype=float)
         if np.any(xx < 1.0 / self.gauge.domain_upper * (1 - 1e-15)):
             raise DomainError("f requires x >= %g" % (1.0 / self.gauge.domain_upper))
-        out = xx * self.gauge.h(1.0 / xx)
-        return float(out[0]) if scalar else out
+        return _shaped(xx * self.gauge.h(1.0 / xx), xx.shape)
 
     def g(self, x):
         """g(x) = H_inv(1/x), defined for x >= 1/H(y1)."""
-        scalar = np.isscalar(x)
-        xx = np.atleast_1d(np.asarray(x, dtype=float))
-        out = self.H_inv(1.0 / xx)
-        return float(out[0]) if scalar else out
+        return self.H_inv(1.0 / np.asarray(x, dtype=float))
 
 
 def make_derived(gauge: GaugeFunction, D: float) -> DerivedFunctions:

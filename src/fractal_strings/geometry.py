@@ -1,18 +1,18 @@
-"""Tube volumes and generalized content estimation.
+"""Tube volumes, generalized contents and the classifiers of sampled ratios.
 
 For a fractal string the inner tube volume is V(eps) = sum_j min(l_j, 2 eps)
 and the boundary measure of the eps-parallel set is V'(eps) = 2 J(2 eps),
-twice the number of lengths exceeding 2 eps.  Contents are sampled ratios
-on a geometric grid of scales; the liminf/limsup estimates come from the
-trailing third.
+twice the number of lengths exceeding 2 eps.  Contents, like l_j/g(j),
+delta(x)/f(x) and (phi - N)/f(sqrt(lambda)), are ratios sampled on a
+geometric grid; each verdict is a RatioVerdict whose liminf/limsup estimates
+come from the trailing third of its samples.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class ScaleGrid:
     """
 
     scales: np.ndarray
-    values: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         scales = np.asarray(self.scales, dtype=float)
@@ -60,24 +59,19 @@ class ScaleGrid:
 
 
 @dataclass(frozen=True)
-class ContentEstimate:
-    """Lower/upper sampled content with a measurability classification."""
+class RatioVerdict:
+    """Sampled liminf/limsup of a ratio, its verdict, drift slope and samples."""
 
     lower: float
     upper: float
-    kind: str  # "minkowski" | "s"
-    verdict: str  # "measurable" | "nondegenerate" | "degenerate"
-    grid: ScaleGrid
-    drift_slope: float = 0.0
+    verdict: str
+    drift_slope: float
+    scales: np.ndarray
+    values: np.ndarray
 
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.lower + self.upper)
-
-    def to_json(self) -> dict:
-        return {"lower": self.lower, "upper": self.upper,
-                "verdict": self.verdict, "kind": self.kind,
-                "grid": self.grid.to_json()}
 
 
 def tube_volume(string: FractalString, eps):
@@ -120,9 +114,10 @@ def trailing_extremes(values: np.ndarray, scales: np.ndarray):
     return float(np.min(tail)), float(np.max(tail)), slope
 
 
-def _estimate(kind: str, ratios: np.ndarray, scales: np.ndarray,
-              band: float) -> ContentEstimate:
-    """Classify the trailing spread of sampled content ratios."""
+def _estimate(ratios: np.ndarray, scales: np.ndarray,
+              band: float) -> RatioVerdict:
+    """Classify the trailing spread of sampled content ratios as
+    measurable, nondegenerate or degenerate."""
     lo, hi, slope = trailing_extremes(ratios, scales)
     if not (lo > 0.0 and math.isfinite(hi)) or abs(slope) > DRIFT_SLOPE_TOL:
         verdict = "degenerate"
@@ -130,9 +125,32 @@ def _estimate(kind: str, ratios: np.ndarray, scales: np.ndarray,
         verdict = "measurable"
     else:
         verdict = "nondegenerate"
-    return ContentEstimate(lower=lo, upper=hi, kind=kind, verdict=verdict,
-                           grid=ScaleGrid(scales=scales, values=ratios),
-                           drift_slope=slope)
+    return RatioVerdict(lower=lo, upper=hi, verdict=verdict, drift_slope=slope,
+                        scales=scales, values=ratios)
+
+
+def classify_ratio(num, den, grid: ScaleGrid,
+                   band: float = DEFAULT_BAND) -> RatioVerdict:
+    """Classify num/den, sampled at the grid's scales, as ~ (equivalent),
+    asymp (similar) or neither.
+
+    liminf/limsup are estimated from the trailing third of the samples;
+    the drift slope is fitted over all of them.
+    """
+    num = np.asarray(num, dtype=float)
+    den = np.asarray(den, dtype=float)
+    if np.any(den <= 0.0):
+        raise ValueError("den must be positive on the grid")
+    values = num / den
+    lo, hi, slope = trailing_extremes(values, grid.scales)
+    if not (lo > 0.0 and math.isfinite(hi)):
+        verdict = "neither"
+    elif 1.0 - band <= lo and hi <= 1.0 + band:
+        verdict = "equivalent"
+    else:
+        verdict = "similar"
+    return RatioVerdict(lower=lo, upper=hi, verdict=verdict, drift_slope=slope,
+                        scales=grid.scales, values=values)
 
 
 def content_estimates(string: FractalString, gauge: GaugeFunction,
@@ -146,14 +164,14 @@ def content_estimates(string: FractalString, gauge: GaugeFunction,
     if scales.max() > gauge.domain_upper:
         raise DomainError("grid scales exceed the gauge domain")
     volumes, counts = _volume_and_count(string, scales)
-    mink = _estimate("minkowski", volumes / gauge.h(scales), scales, band)
-    dh = np.atleast_1d(gauge.dh(scales))
+    mink = _estimate(volumes / gauge.h(scales), scales, band)
+    dh = gauge.dh(scales)
     keep = dh != 0.0
     if not np.all(keep):
         warnings.warn("content_estimates: skipped scales where h' vanishes")
     if not np.any(keep):
         raise NumericError("h' vanishes at every sampled scale")
-    sest = _estimate("s", 2.0 * counts[keep] / dh[keep], scales[keep], band)
+    sest = _estimate(2.0 * counts[keep] / dh[keep], scales[keep], band)
     return mink, sest
 
 

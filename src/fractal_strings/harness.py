@@ -16,11 +16,10 @@ from typing import Dict, Optional
 import numpy as np
 
 from .gauge import gauge_from_json, make_derived
-from .geometry import (DEFAULT_BAND, ScaleGrid, cantor_grid,
+from .geometry import (DEFAULT_BAND, ScaleGrid, cantor_grid, classify_ratio,
                        content_estimates, trailing_third)
-from .karamata import classify_ratio
-from .spectral import ZetaContext, spectral_point
-from .strings import FractalString, string_from_json
+from .spectral import ZetaContext, second_term_probe
+from .strings import string_from_json
 
 _COMPAT_CONTENT = ("measurable", "nondegenerate")
 _COMPAT_RATIO = ("equivalent", "similar")
@@ -128,15 +127,14 @@ class VerificationReport:
 
 def _ratio_assertion(label: str, num, den, grid: ScaleGrid, band: float) -> AssertionResult:
     verdict = classify_ratio(num, den, grid, band=band)
-    cls = verdict.classification
+    cls = verdict.verdict
     if cls == "similar" and abs(verdict.drift_slope) > _DRIFT_TOL:
         cls = "neither"  # trailing samples still drifting to 0 or infinity
     return AssertionResult(
         label=label, checked=True, verdict=cls,
         compatible=cls in _COMPAT_RATIO,
-        evidence={"liminf": verdict.liminf_estimate,
-                  "limsup": verdict.limsup_estimate,
-                  "raw_classification": verdict.classification,
+        evidence={"liminf": verdict.lower, "limsup": verdict.upper,
+                  "raw_classification": verdict.verdict,
                   "drift_slope": verdict.drift_slope,
                   "values": verdict.values.tolist()})
 
@@ -182,21 +180,16 @@ def run_verify(config: ExperimentConfig) -> VerificationReport:
             {"reason": "string too short for the j grid"})
 
     # (iv) packing defect against f(x), (v) spectral remainder against f(sqrt(lam))
-    lams = config.lam_grid()
-    xs = np.sqrt(lams) / math.pi
-    usable = np.minimum(xs, np.sqrt(lams)) >= derived.valid_from
-    lams, xs = lams[usable], xs[usable]
-    if lams.size >= 9:
-        points = [spectral_point(string, lam) for lam in lams]
-        deltas = np.array([delta for _, _, delta in points])
-        f_x = derived.f(xs)
+    records = second_term_probe(string, derived, config.lam_grid())
+    if len(records) >= 9:
+        lams = np.array([r.lam for r in records])
+        ones = np.ones(lams.size)
         assertions["iv"] = _ratio_assertion(
-            "delta(x) against f(x)", deltas, f_x, ScaleGrid(scales=xs), band)
-        remainders = np.array([phi - n for n, phi, _ in points])
-        f_sq = derived.f(np.sqrt(lams))
+            "delta(x) against f(x)", [r.delta_ratio for r in records], ones,
+            ScaleGrid(scales=np.sqrt(lams) / math.pi), band)
         assertions["v"] = _ratio_assertion(
-            "phi - N against f(sqrt(lambda))", remainders, f_sq,
-            ScaleGrid(scales=lams), band)
+            "phi - N against f(sqrt(lambda))", [r.remainder_ratio for r in records],
+            ones, ScaleGrid(scales=lams), band)
     else:
         for key, label in (("iv", "delta(x) against f(x)"),
                            ("v", "phi - N against f(sqrt(lambda))")):
@@ -220,10 +213,8 @@ def run_verify(config: ExperimentConfig) -> VerificationReport:
         scaled = L_hat * g_vals
         v8 = classify_ratio(lengths, scaled, j_grid, band=band)
         assertions["viii"] = AssertionResult(
-            "l_j ~ L g(j)", True, v8.classification,
-            v8.classification == "equivalent",
-            {"L_hat": L_hat, "liminf": v8.liminf_estimate,
-             "limsup": v8.limsup_estimate})
+            "l_j ~ L g(j)", True, v8.verdict, v8.verdict == "equivalent",
+            {"L_hat": L_hat, "liminf": v8.lower, "limsup": v8.upper})
     else:
         assertions["viii"] = AssertionResult(
             "l_j ~ L g(j)", False, "inapplicable", None, {})

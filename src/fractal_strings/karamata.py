@@ -1,5 +1,5 @@
 """Numeric Karamata toolkit: regular-variation defects, representations,
-integral/sum asymptotics and asymptotic-ratio classification.
+and integral/sum asymptotics.
 
 Everything here works on finite sample grids; the outputs are estimates and
 diagnostics, never proofs of the corresponding limit statements.
@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import NumericError
 from .gauge import GaugeFunction
-from .geometry import DEFAULT_BAND, ScaleGrid, trailing_extremes
 from .strings import _em_tail_sum, _panel_integral
 
 
@@ -143,40 +142,3 @@ def tail_sum_rv(g: Callable, rho: float, k: int):
     total = float(_em_tail_sum(g, [k - 1])[0])
     predicted = -1.0 / (rho + 1.0) * k * gk
     return total, predicted
-
-
-@dataclass(frozen=True)
-class RatioVerdict:
-    """Sampled liminf/limsup of num/den with a coarse classification."""
-
-    liminf_estimate: float
-    limsup_estimate: float
-    classification: str  # "equivalent" | "similar" | "neither"
-    drift_slope: float   # log-log slope of num/den over the whole grid
-    values: np.ndarray = field(repr=False, default=None)
-
-
-def classify_ratio(num, den, grid: ScaleGrid,
-                   band: float = DEFAULT_BAND) -> RatioVerdict:
-    """Classify num/den, sampled at the grid's scales, as ~ (equivalent),
-    asymp (similar) or neither.
-
-    liminf/limsup are estimated from the trailing third of the samples;
-    the drift slope is fitted over all of them.
-    """
-    num = np.asarray(num, dtype=float)
-    den = np.asarray(den, dtype=float)
-    if np.any(den <= 0.0):
-        raise ValueError("den must be positive on the grid")
-    values = num / den
-    lo, hi, slope = trailing_extremes(values, grid.scales)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        cls = "neither"
-    elif 1.0 - band <= lo and hi <= 1.0 + band:
-        cls = "equivalent"
-    elif lo > 0.0:
-        cls = "similar"
-    else:
-        cls = "neither"
-    return RatioVerdict(liminf_estimate=lo, limsup_estimate=hi,
-                        classification=cls, drift_slope=slope, values=values)

@@ -263,20 +263,22 @@ class SpectralRecord:
 
 def second_term_probe(string: FractalString, derived: DerivedFunctions,
                       lam_grid: Sequence[float]) -> List[SpectralRecord]:
-    """Per-lambda remainder and packing-defect ratios against f."""
+    """Per-lambda remainder and packing-defect ratios against f, by
+    increasing lambda, leaving out each lambda where f(sqrt(lambda)/pi) is
+    undefined; f takes one call per grid."""
+    lams = np.sort(np.asarray(lam_grid, dtype=float))
+    if not np.all(lams >= 0.0):
+        raise ValueError("lambda must be a non-negative number")
+    sq = np.sqrt(lams)
+    keep = sq / math.pi >= derived.valid_from
+    lams, sq = lams[keep], sq[keep]
+    f_sq, f_x = derived.f(sq), derived.f(sq / math.pi)
     records = []
-    for lam in sorted(lam_grid):
-        sq = math.sqrt(lam)
-        x = sq / math.pi
-        if min(sq, x) < derived.valid_from:
-            continue  # f undefined this far down
+    for lam, fs, fx in zip(lams.tolist(), f_sq.tolist(), f_x.tolist()):
         n, phi, delta = spectral_point(string, lam)
-        f_sq = derived.f(sq)
-        f_x = derived.f(x)
         records.append(SpectralRecord(
-            lam=float(lam), N=n, phi=phi, delta_at=delta, f_norm=f_sq,
-            remainder_ratio=(phi - n) / f_sq,
-            delta_ratio=delta / f_x))
+            lam=lam, N=n, phi=phi, delta_at=delta, f_norm=fs,
+            remainder_ratio=(phi - n) / fs, delta_ratio=delta / fx))
     return records
 
 

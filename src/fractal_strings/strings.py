@@ -20,32 +20,21 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConstructionError, NumericError
-from .gauge import (DerivedFunctions, GaugeFunction, _iterated_logs,
+from .gauge import (DerivedFunctions, GaugeFunction, _iterated_logs, _shaped,
                     gauge_from_json, make_derived, reject_unknown_keys)
 
 
 def _compensated_suffix_sums(values: np.ndarray) -> np.ndarray:
-    """suffix[i] = sum(values[i:]) accumulated with Neumaier compensation."""
-    n = values.size
-    out = np.empty(n + 1)
-    out[n] = 0.0
-    s = 0.0
-    c = 0.0
-    for i in range(n - 1, -1, -1):
-        v = values[i]
-        t = s + v
-        if abs(s) >= abs(v):
-            c += (s - t) + v
-        else:
-            c += (v - t) + s
-        s = t
-        out[i] = s + c
-    return out
+    """suffix[i] = sum(values[i:]) accumulated with Neumaier compensation.
 
-
-def _shaped(values: np.ndarray, shape: tuple):
-    """values in the argument's shape, or a Python scalar for a scalar."""
-    return values.reshape(shape) if shape else values.item()
+    np.cumsum adds in order, so each step's exact rounding error is taken
+    afterwards from consecutive running sums, and summed by a second cumsum.
+    """
+    v = values[::-1]
+    s = np.cumsum(v)
+    prev = np.concatenate(([0.0], s[:-1]))
+    err = np.where(np.abs(prev) >= np.abs(v), (prev - s) + v, (v - s) + prev)
+    return np.append((s + np.cumsum(err))[::-1], 0.0)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -92,14 +81,18 @@ def _panel_integral(fn: Callable, a: float, b: float = math.inf) -> float:
     one is at most 1e-15 of the running total.  If no panel up to the one
     that crosses 1e300 is, NumericError is raised: the tail decays too
     slowly, or diverges.  One fn call takes the nodes of up to
-    _PANEL_BATCH panels, and none past the 1e300 panel.
+    _PANEL_BATCH panels, and none past the 1e300 panel.  A non-finite fn
+    value at a node that enters the sum raises NumericError.
     """
     if not (a > 0.0 and b > 0.0):
         raise ValueError("integration limits must be positive")
     if math.isfinite(b):
         n = max(1, math.ceil(abs(math.log(b / a)) / math.log(_PANEL_FACTOR)))
         nodes, weights = _panel_rule(np.geomspace(a, b, n + 1))
-        return math.fsum(weights.ravel() * np.asarray(fn(nodes.ravel()), dtype=float))
+        values = np.asarray(fn(nodes.ravel()), dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise NumericError("non-finite integrand on [%g, %g]" % (a, b))
+        return math.fsum(weights.ravel() * values)
     total = 0.0
     lo = a
     while lo <= 1e300:
@@ -108,7 +101,9 @@ def _panel_integral(fn: Callable, a: float, b: float = math.inf) -> float:
             edges.append(edges[-1] * _PANEL_FACTOR)
         nodes, weights = _panel_rule(edges)
         values = np.asarray(fn(nodes.ravel()), dtype=float).reshape(nodes.shape)
-        for w, row in zip(weights, values):
+        for left, w, row in zip(edges, weights, values):
+            if not np.all(np.isfinite(row)):
+                raise NumericError("non-finite integrand on the panel from %g" % left)
             panel = float(np.dot(w, row))
             total += panel
             if abs(panel) <= 1e-15 * abs(total):

@@ -201,3 +201,21 @@ def test_gauge_json_roundtrip():
 def test_gauge_json_rejects_unknown_form():
     with pytest.raises(ValueError):
         gauge_from_json({"form": "spline"})
+
+
+@pytest.mark.parametrize("gauge, D", [(power_log(0.5), 0.5),
+                                      (power_log(0.3, [1.0]), 0.7)])
+def test_every_method_keeps_the_argument_shape(gauge, D):
+    # a float or a 0-d array gives a Python float, a (2, 3) array a (2, 3)
+    # array with the same elements
+    d = make_derived(gauge, D)
+    ys = np.geomspace(1e-3, 1e-8, 6).reshape(2, 3)
+    args = {gauge.h: ys, gauge.dh: ys, gauge.elasticity: ys, d.H: ys,
+            d.H_inv: d.H(ys), d.f: 1.0 / ys, d.g: 1.0 / ys}
+    for method, grid in args.items():
+        out = method(grid)
+        assert out.shape == (2, 3)
+        for point in (float(grid[1, 2]), np.asarray(grid[1, 2])):
+            value = method(point)
+            assert type(value) is float
+            assert value == out[1, 2]

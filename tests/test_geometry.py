@@ -40,7 +40,7 @@ def test_boundary_count_is_twice_J():
     s = ExplicitString([0.5, 0.3, 0.1])
     g = power_log(0.5)
     grid = ScaleGrid.geometric(0.1, 0.4, 9)
-    samples = content_estimates(s, g, grid)[1].grid.values
+    samples = content_estimates(s, g, grid)[1].values
     dh = g.dh(grid.scales)
     assert samples[0] == 2 * s.J(0.2) / dh[0]
     assert samples[1] == 6 / dh[1]
@@ -110,15 +110,15 @@ def test_cantor_s_samples_match_closed_form():
         return 2.0 ** -D * (1.0 - 2.0 ** (1 - n)) * u ** D / (1.0 - D)
 
     se = content_estimates(c, g, cantor_grid())[1]
-    expected = [closed(e) for e in se.grid.scales]
-    assert se.grid.values == pytest.approx(expected, rel=1e-12)
+    expected = [closed(e) for e in se.scales]
+    assert se.values == pytest.approx(expected, rel=1e-12)
     tail = expected[-max(3, len(expected) // 3):]
     assert se.lower == pytest.approx(min(tail), rel=1e-12)
     assert se.upper == pytest.approx(max(tail), rel=1e-12)
     # off the cantor grid, u = 2.9 puts the length 3^-(n-1) inside
     # (2 eps, 2.1 eps]: the count at 2 eps includes it, one at 2.1 eps would not
     off = ScaleGrid(scales=3.0 ** -np.arange(10, 41, 2.0) * 2.9 / 2.0)
-    got = content_estimates(c, g, off)[1].grid.values
+    got = content_estimates(c, g, off)[1].values
     assert got == pytest.approx([closed(e) for e in off.scales], rel=1e-12)
 
 
@@ -154,14 +154,6 @@ def test_dimension_estimate_cantor():
 def test_dimension_estimate_needs_three_decades():
     with pytest.raises(ValueError):
         dimension_estimate(make_a_string(1.0), ScaleGrid.geometric(0.1, 0.8, 10))
-
-
-def test_content_estimate_json():
-    s = make_a_string(1.0)
-    grid = ScaleGrid.geometric(2.0 ** -10, 0.5, 31)
-    out = content_estimates(s, power_log(0.5), grid)[0].to_json()
-    assert out["verdict"] == "measurable"
-    assert out["grid"]["n"] == 31
 
 
 def test_array_scales_equal_scalar_scales():

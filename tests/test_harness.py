@@ -138,6 +138,10 @@ def test_cli_content(tmp_path, capsys):
     assert main(["content", path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["minkowski"]["verdict"] == "measurable"
+    for kind in ("minkowski", "s"):
+        assert set(out[kind]) == {"lower", "upper", "verdict", "kind", "grid"}
+        assert out[kind]["kind"] == kind
+        assert out[kind]["grid"]["n"] == 31
 
 
 def test_cli_content_rejects_unknown_keys(tmp_path, capsys):

@@ -163,19 +163,19 @@ X = GRID.scales
 
 def test_classify_ratio_equivalent():
     v = classify_ratio(X * (1 + 1.0 / X), X, GRID)
-    assert v.classification == "equivalent"
-    assert v.liminf_estimate <= v.limsup_estimate
+    assert v.verdict == "equivalent"
+    assert v.lower <= v.upper
 
 
 def test_classify_ratio_similar_constant_offset():
     v = classify_ratio(3.0 * X, X, GRID)
-    assert v.classification == "similar"
-    assert v.limsup_estimate == pytest.approx(3.0)
+    assert v.verdict == "similar"
+    assert v.upper == pytest.approx(3.0)
 
 
 def test_classify_ratio_neither_for_vanishing():
     v = classify_ratio(np.zeros_like(X), X, GRID)
-    assert v.classification == "neither"
+    assert v.verdict == "neither"
 
 
 def test_classify_ratio_validates_inputs():

@@ -240,3 +240,11 @@ def test_positive_arguments_required():
         packing_defect(s, -2.0)
     with pytest.raises(ValueError):
         weyl_term(s, -1.0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+def test_second_term_probe_rejects_negative_lambda(bad):
+    s = make_a_string(1.0)
+    d = make_derived(power_log(0.5), 0.5)
+    with pytest.raises(ValueError):
+        second_term_probe(s, d, [1e4, bad, 1e6])

@@ -10,8 +10,8 @@ from fractal_strings import (AnalyticString, ExplicitString, RunLengthString,
                              make_cantor, make_interval, make_profile,
                              make_derived, power_log, string_from_json)
 from fractal_strings.errors import ConstructionError, NumericError
-from fractal_strings.strings import (_PANEL_FACTOR, _gauge_side_integral,
-                                     _panel_integral)
+from fractal_strings.strings import (_PANEL_FACTOR, _compensated_suffix_sums,
+                                     _gauge_side_integral, _panel_integral)
 
 
 def test_explicit_sorts_and_counts():
@@ -258,6 +258,41 @@ def test_batched_tail_integral_stops_at_the_cutoff_panel():
 
         with pytest.raises(NumericError, match="1e300"):
             _panel_integral(fn, a)
+
+
+@pytest.mark.parametrize("bad, b", [(np.inf, math.inf), (np.nan, 10.0),
+                                    (np.nan, math.inf)])
+def test_panel_integral_rejects_a_non_finite_integrand(bad, b):
+    def fn(t):
+        return np.where(t < 2.0, bad, t ** -2.0)
+
+    with pytest.raises(NumericError, match="non-finite integrand"):
+        _panel_integral(fn, 1.0, b)
+
+
+def _suffix_loop(values):
+    """The Neumaier loop that the cumsum form keeps bit for bit."""
+    out = np.empty(values.size + 1)
+    out[-1] = s = c = 0.0
+    for i in range(values.size - 1, -1, -1):
+        v = values[i]
+        t = s + v
+        c += (s - t) + v if abs(s) >= abs(v) else (v - t) + s
+        s = t
+        out[i] = s + c
+    return out
+
+
+def test_compensated_suffix_sums_equal_the_neumaier_loop():
+    rng = np.random.default_rng(17)
+    cantor = make_cantor()
+    inputs = [rng.standard_normal(10 ** 5),
+              make_a_string(1.0).length(np.arange(1, 10 ** 5 + 1)),
+              make_a_string(0.5).length(np.arange(1, 5 * 10 ** 4 + 1)),
+              rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-300, 300, 1000),
+              cantor._vals * cantor._mult.astype(float)]
+    for values in inputs:
+        assert np.array_equal(_compensated_suffix_sums(values), _suffix_loop(values))
 
 
 def test_analytic_tail_matches_polygamma():
