@@ -18,11 +18,10 @@ import sys
 
 import numpy as np
 
-from .errors import DomainError, NumericError
-from .gauge import gauge_from_json, make_derived
-from .geometry import DEFAULT_BAND, ScaleGrid, content_estimates
-from .harness import (ExperimentConfig, bundled_examples, config_grids,
-                      run_verify)
+from .errors import ConstructionError, DomainError, NumericError
+from .gauge import gauge_from_json
+from .geometry import ScaleGrid, content_estimates
+from .harness import ExperimentConfig, bundled_examples, run_verify
 from .spectral import (ZetaContext, records_to_csv, second_term_probe, w_k,
                        zeta, zeta_from_wk)
 from .strings import string_from_json
@@ -42,14 +41,17 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _emit(payload, out_path=None):
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
-                      default=_jsonable)
+def _write(text: str, out_path=None):
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def _emit(payload, out_path=None):
+    _write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                      default=_jsonable) + "\n", out_path)
 
 
 def _jsonable(obj):
@@ -75,38 +77,25 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    spec = _load_json(args.config)
-    config_grids(spec)
+    config = ExperimentConfig.from_json(_load_json(args.config))
     if args.lmax <= args.lmin or args.lmin <= 0:
         _fail(2, "need 0 < lmin < lmax")
-    string = string_from_json(spec["string"])
-    gauge = gauge_from_json(spec["gauge"])
-    derived = make_derived(gauge, float(spec["D"]))
+    _, derived, string = config.build()
     lams = np.geomspace(args.lmin, args.lmax, args.steps)
     records = second_term_probe(string, derived, lams)
     if args.format == "csv":
-        out = records_to_csv(records)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(out)
-        else:
-            sys.stdout.write(out)
+        _write(records_to_csv(records), args.out)
     else:
         _emit([r.to_json() for r in records], args.out)
     return 0
 
 
 def cmd_content(args) -> int:
-    spec = _load_json(args.config)
-    grids = config_grids(spec)
-    string = string_from_json(spec["string"])
-    gauge = gauge_from_json(spec["gauge"])
-    # the defaults of ExperimentConfig's fields are its class attributes
-    grid = ScaleGrid.geometric(float(grids.get("eps0", ExperimentConfig.eps0)),
-                               float(grids.get("q", ExperimentConfig.eps_ratio)),
-                               int(grids.get("n", ExperimentConfig.eps_n)))
-    band = float(spec.get("band", DEFAULT_BAND))
-    mink, sest = content_estimates(string, gauge, grid, band=band)
+    config = ExperimentConfig.from_json(_load_json(args.config))
+    string = string_from_json(config.string_spec)
+    gauge = gauge_from_json(config.gauge_spec)
+    mink, sest = content_estimates(string, gauge, config.eps_grid(),
+                                   band=config.band)
     _emit({kind: {"lower": v.lower, "upper": v.upper, "verdict": v.verdict,
                   "kind": kind, "grid": ScaleGrid(scales=v.scales).to_json()}
            for kind, v in (("minkowski", mink), ("s", sest))}, args.out)
@@ -196,7 +185,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit:
         raise
-    except (KeyError, ValueError, DomainError) as exc:
+    except (KeyError, ValueError, DomainError, ConstructionError) as exc:
         _fail(2, str(exc))
     except (NumericError, ArithmeticError) as exc:
         _fail(3, str(exc))

@@ -37,17 +37,6 @@ _GRID_FIELDS = {
 _CONFIG_KEYS = ("string", "gauge", "D", "grids", "band")
 
 
-def config_grids(spec: dict) -> dict:
-    """The config's "grids" table; ValueError names any key the config
-    format does not define, so a misspelt key is not silently ignored."""
-    grids = spec.get("grids", {})
-    unknown = sorted(set(spec) - set(_CONFIG_KEYS))
-    unknown += ["grids." + key for key in sorted(set(grids) - set(_GRID_FIELDS))]
-    if unknown:
-        raise ValueError("unknown config key(s): %s" % ", ".join(unknown))
-    return grids
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     string_spec: dict
@@ -67,14 +56,25 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, spec: dict) -> "ExperimentConfig":
-        """Read a config; keys it leaves out keep the dataclass defaults."""
-        grids = config_grids(spec)
+        """Read a config; keys it leaves out keep the dataclass defaults,
+        and ValueError names any key the format does not define."""
+        grids = spec.get("grids", {})
+        unknown = sorted(set(spec) - set(_CONFIG_KEYS))
+        unknown += ["grids." + key for key in sorted(set(grids) - set(_GRID_FIELDS))]
+        if unknown:
+            raise ValueError("unknown config key(s): %s" % ", ".join(unknown))
         kw = {name: kind(grids[key])
               for key, (name, kind) in _GRID_FIELDS.items() if key in grids}
         if "band" in spec:
             kw["band"] = float(spec["band"])
         return cls(string_spec=spec["string"], gauge_spec=spec["gauge"],
                    D=float(spec["D"]), **kw)
+
+    def build(self):
+        """(gauge, its derived functions at D, string) of this config."""
+        gauge = gauge_from_json(self.gauge_spec)
+        string = string_from_json(self.string_spec)
+        return gauge, make_derived(gauge, self.D), string
 
     def to_json(self) -> dict:
         return {
@@ -125,6 +125,16 @@ class VerificationReport:
         }
 
 
+def _slope(verdict):
+    """The drift slope, or None (JSON null) where the samples have no fit."""
+    return verdict.drift_slope if math.isfinite(verdict.drift_slope) else None
+
+
+def _inapplicable(label: str, reason: Optional[str]) -> AssertionResult:
+    return AssertionResult(label, False, "inapplicable", None,
+                           {"reason": reason} if reason else {})
+
+
 def _ratio_assertion(label: str, num, den, grid: ScaleGrid, band: float) -> AssertionResult:
     verdict = classify_ratio(num, den, grid, band=band)
     cls = verdict.verdict
@@ -135,32 +145,29 @@ def _ratio_assertion(label: str, num, den, grid: ScaleGrid, band: float) -> Asse
         compatible=cls in _COMPAT_RATIO,
         evidence={"liminf": verdict.lower, "limsup": verdict.upper,
                   "raw_classification": verdict.verdict,
-                  "drift_slope": verdict.drift_slope,
+                  "drift_slope": _slope(verdict),
                   "values": verdict.values.tolist()})
 
 
 def run_verify(config: ExperimentConfig) -> VerificationReport:
-    gauge = gauge_from_json(config.gauge_spec)
-    string = string_from_json(config.string_spec)
-    D = config.D
-    derived = make_derived(gauge, D)
-    band = config.band
+    gauge, derived, string = config.build()
+    D, band = config.D, config.band
     flags = []
     assertions: Dict[str, AssertionResult] = {}
 
-    # (i) Minkowski content, (ii) S-content
-    eps_grid = config.eps_grid()
-    mink, sest = content_estimates(string, gauge, eps_grid, band=band)
-    assertions["i"] = AssertionResult(
-        "h-Minkowski nondegeneracy", True, mink.verdict,
-        mink.verdict in _COMPAT_CONTENT,
-        {"lower": mink.lower, "upper": mink.upper, "drift_slope": mink.drift_slope})
-    assertions["ii"] = AssertionResult(
-        "h'-S nondegeneracy", True, sest.verdict,
-        sest.verdict in _COMPAT_CONTENT,
-        {"lower": sest.lower, "upper": sest.upper, "drift_slope": sest.drift_slope})
+    # (i)/(vi) Minkowski content, (ii)/(vii) S-content: nondegenerate, measurable
+    mink, sest = content_estimates(string, gauge, config.eps_grid(), band=band)
+    for est, name, part1, part2 in ((mink, "h-Minkowski", "i", "vi"),
+                                    (sest, "h'-S", "ii", "vii")):
+        bounds = {"lower": est.lower, "upper": est.upper}
+        assertions[part1] = AssertionResult(
+            name + " nondegeneracy", True, est.verdict,
+            est.verdict in _COMPAT_CONTENT, dict(bounds, drift_slope=_slope(est)))
+        assertions[part2] = AssertionResult(
+            name + " measurability", True, est.verdict,
+            est.verdict == "measurable", bounds)
 
-    # (iii) length decay against g(j)
+    # (iii) l_j against g(j), (viii) l_j ~ L g(j), on one j grid
     js = np.unique(np.round(config.j0 * config.j_factor ** np.arange(config.j_n)).astype(int))
     js = js[js >= max(1, int(math.ceil(derived.valid_from)))]
     count = string.count()
@@ -170,66 +177,44 @@ def run_verify(config: ExperimentConfig) -> VerificationReport:
     if js.size >= 9:
         j_grid = ScaleGrid(scales=js.astype(float))
         lengths = string.length(js)
-        g_vals = derived.g(js.astype(float))
+        g_vals = derived.g(j_grid.scales)
         assertions["iii"] = _ratio_assertion(
             "l_j against g(j)", lengths, g_vals, j_grid, band)
         L_hat = float(np.median(trailing_third(lengths / g_vals)))
-    else:
-        assertions["iii"] = AssertionResult(
-            "l_j against g(j)", False, "inapplicable", None,
-            {"reason": "string too short for the j grid"})
-
-    # (iv) packing defect against f(x), (v) spectral remainder against f(sqrt(lam))
-    records = second_term_probe(string, derived, config.lam_grid())
-    if len(records) >= 9:
-        lams = np.array([r.lam for r in records])
-        ones = np.ones(lams.size)
-        assertions["iv"] = _ratio_assertion(
-            "delta(x) against f(x)", [r.delta_ratio for r in records], ones,
-            ScaleGrid(scales=np.sqrt(lams) / math.pi), band)
-        assertions["v"] = _ratio_assertion(
-            "phi - N against f(sqrt(lambda))", [r.remainder_ratio for r in records],
-            ones, ScaleGrid(scales=lams), band)
-    else:
-        for key, label in (("iv", "delta(x) against f(x)"),
-                           ("v", "phi - N against f(sqrt(lambda))")):
-            assertions[key] = AssertionResult(label, False, "inapplicable", None,
-                                              {"reason": "lambda grid below valid_from"})
-
-    degenerate_regime = mink.verdict == "degenerate"
-    if degenerate_regime:
-        flags.append("degenerate-regime: gauge index does not match the string")
-
-    # part II: (vi) Minkowski measurable, (vii) S measurable, (viii) l_j ~ L g(j)
-    assertions["vi"] = AssertionResult(
-        "h-Minkowski measurability", True, mink.verdict,
-        mink.verdict == "measurable",
-        {"lower": mink.lower, "upper": mink.upper})
-    assertions["vii"] = AssertionResult(
-        "h'-S measurability", True, sest.verdict,
-        sest.verdict == "measurable",
-        {"lower": sest.lower, "upper": sest.upper})
-    if L_hat is not None:
-        scaled = L_hat * g_vals
-        v8 = classify_ratio(lengths, scaled, j_grid, band=band)
+        v8 = classify_ratio(lengths, L_hat * g_vals, j_grid, band=band)
         assertions["viii"] = AssertionResult(
             "l_j ~ L g(j)", True, v8.verdict, v8.verdict == "equivalent",
             {"L_hat": L_hat, "liminf": v8.lower, "limsup": v8.upper})
     else:
-        assertions["viii"] = AssertionResult(
-            "l_j ~ L g(j)", False, "inapplicable", None, {})
+        assertions["iii"] = _inapplicable("l_j against g(j)",
+                                          "string too short for the j grid")
+        assertions["viii"] = _inapplicable("l_j ~ L g(j)", None)
+
+    # (iv) packing defect against f(x), (v) spectral remainder against f(sqrt(lam))
+    records = second_term_probe(string, derived, config.lam_grid())
+    lams = np.array([r.lam for r in records])
+    for key, label, ratio, scales in (
+            ("iv", "delta(x) against f(x)", "delta_ratio", np.sqrt(lams) / math.pi),
+            ("v", "phi - N against f(sqrt(lambda))", "remainder_ratio", lams)):
+        if len(records) >= 9:
+            assertions[key] = _ratio_assertion(
+                label, [getattr(r, ratio) for r in records], np.ones(lams.size),
+                ScaleGrid(scales=scales), band)
+        else:
+            assertions[key] = _inapplicable(label, "lambda grid below valid_from")
+
+    if mink.verdict == "degenerate":
+        flags.append("degenerate-regime: gauge index does not match the string")
 
     # consistency meta-checks
-    part1 = [assertions[k].compatible for k in ("i", "ii", "iii", "iv", "v")
-             if assertions[k].checked]
-    part1_consistent = len(set(part1)) <= 1
-    if not part1_consistent:
-        flags.append("part-I verdicts disagree: numerical resolution suspect")
-    part2 = [assertions[k].compatible for k in ("vi", "vii", "viii")
-             if assertions[k].checked]
-    part2_consistent = len(set(part2)) <= 1
-    if not part2_consistent:
-        flags.append("part-II verdicts disagree: numerical resolution suspect")
+    consistent = {}
+    for part, keys in (("I", ("i", "ii", "iii", "iv", "v")),
+                       ("II", ("vi", "vii", "viii"))):
+        consistent[part] = len({assertions[k].compatible for k in keys
+                                if assertions[k].checked}) <= 1
+        if not consistent[part]:
+            flags.append("part-%s verdicts disagree: numerical resolution suspect"
+                         % part)
 
     constants = {"D": D, "M_estimate": mink.midpoint, "S_estimate": sest.midpoint}
     if L_hat is not None:
@@ -244,18 +229,24 @@ def run_verify(config: ExperimentConfig) -> VerificationReport:
             "remainder_ratio_target": ctx.target_remainder,
             "constant_identity_residual": ctx.identity_residual(),
         })
-        if assertions["iv"].checked:
-            constants["delta_ratio_trailing"] = assertions["iv"].evidence["values"][-1]
-        if assertions["v"].checked:
-            constants["remainder_ratio_trailing"] = assertions["v"].evidence["values"][-1]
+        for key, name in (("iv", "delta_ratio_trailing"),
+                          ("v", "remainder_ratio_trailing")):
+            if assertions[key].checked:
+                constants[name] = assertions[key].evidence["values"][-1]
 
     return VerificationReport(assertions=assertions,
-                              part1_consistent=part1_consistent,
-                              part2_consistent=part2_consistent,
+                              part1_consistent=consistent["I"],
+                              part2_consistent=consistent["II"],
                               flags=flags, constants=constants)
 
 
 # -- bundled example configurations ----------------------------------------
+
+
+def _powerlog(D: float, log_exponents=(), domain_upper: float = 1.0) -> dict:
+    """The spec of the gauge of index 1 - D with the given log exponents."""
+    return {"form": "powerlog", "rho": 1.0 - D,
+            "log_exponents": list(log_exponents), "domain_upper": domain_upper}
 
 
 def bundled_examples() -> Dict[str, ExperimentConfig]:
@@ -265,37 +256,23 @@ def bundled_examples() -> Dict[str, ExperimentConfig]:
     for a in (0.5, 1.0, 2.0):
         D = 1.0 / (a + 1.0)
         configs["a_string_%g" % a] = ExperimentConfig(
-            string_spec={"kind": "a_string", "a": a},
-            gauge_spec={"form": "powerlog", "rho": 1.0 - D,
-                        "log_exponents": [], "domain_upper": 1.0},
-            D=D)
+            string_spec={"kind": "a_string", "a": a}, gauge_spec=_powerlog(D), D=D)
     D_cantor = math.log(2.0) / math.log(3.0)
     grid = cantor_grid()
     configs["cantor"] = ExperimentConfig(
-        string_spec={"kind": "cantor"},
-        gauge_spec={"form": "powerlog", "rho": 1.0 - D_cantor,
-                    "log_exponents": [], "domain_upper": 1.0},
+        string_spec={"kind": "cantor"}, gauge_spec=_powerlog(D_cantor),
         D=D_cantor,
         eps0=float(grid.scales[0]),
         eps_ratio=float(grid.scales[1] / grid.scales[0]),
         eps_n=int(grid.scales.size),
         lam0=1e3, lam_factor=9.0, lam_n=12)
+    # log corrections decay like 1/log(1/eps); the log profiles sample deep
+    # scales so the trailing spread falls inside the measurability band
+    deep = {"eps0": 2.0 ** -60, "eps_ratio": 0.25, "eps_n": 31}
     for D in (0.3, 0.5, 0.7):
-        configs["profile_power_D%g" % D] = ExperimentConfig(
-            string_spec={"kind": "profile", "L": 1.0,
-                         "gauge": {"form": "powerlog", "rho": 1.0 - D,
-                                   "log_exponents": [], "domain_upper": 1.0}},
-            gauge_spec={"form": "powerlog", "rho": 1.0 - D,
-                        "log_exponents": [], "domain_upper": 1.0},
-            D=D)
-        configs["profile_log_D%g" % D] = ExperimentConfig(
-            string_spec={"kind": "profile", "L": 1.0,
-                         "gauge": {"form": "powerlog", "rho": 1.0 - D,
-                                   "log_exponents": [1.0], "domain_upper": 0.1}},
-            gauge_spec={"form": "powerlog", "rho": 1.0 - D,
-                        "log_exponents": [1.0], "domain_upper": 0.1},
-            D=D,
-            # log corrections decay like 1/log(1/eps); sample deep scales so
-            # the trailing spread falls inside the measurability band
-            eps0=2.0 ** -60, eps_ratio=0.25, eps_n=31)
+        for name, gauge, grids in (("power", _powerlog(D), {}),
+                                   ("log", _powerlog(D, [1.0], 0.1), deep)):
+            configs["profile_%s_D%g" % (name, D)] = ExperimentConfig(
+                string_spec={"kind": "profile", "L": 1.0, "gauge": gauge},
+                gauge_spec=gauge, D=D, **grids)
     return configs

@@ -37,6 +37,14 @@ def _compensated_suffix_sums(values: np.ndarray) -> np.ndarray:
     return np.append((s + np.cumsum(err))[::-1], 0.0)
 
 
+def _tail_indices(m) -> np.ndarray:
+    """The tail indices m as a flat object array; IndexError if one is negative."""
+    mm = np.asarray(m, dtype=object).ravel()
+    if min(mm.tolist(), default=0) < 0:
+        raise IndexError("tail index must be >= 0")
+    return mm
+
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
@@ -183,7 +191,7 @@ class FractalString:
         raise NotImplementedError
 
     def tail_sum_beyond_index(self, m):
-        """sum_{j > m} l_j."""
+        """sum_{j > m} l_j, for m >= 0."""
         raise NotImplementedError
 
     def total_length(self) -> float:
@@ -228,7 +236,7 @@ class ExplicitString(FractalString):
         return self._vals[:self.J(eps)], None
 
     def tail_sum_beyond_index(self, m):
-        mm = np.minimum(np.asarray(m, dtype=object).ravel(), self._vals.size)
+        mm = np.minimum(_tail_indices(m), self._vals.size)
         return _shaped(self._suffix[mm.astype(np.int64)], np.shape(m))
 
     def count(self):
@@ -269,7 +277,7 @@ class RunLengthString(FractalString):
         return self._vals[:b], self._mult[:b]
 
     def tail_sum_beyond_index(self, m):
-        mm = np.minimum(np.asarray(m, dtype=object).ravel(), self._cum[-1])
+        mm = np.minimum(_tail_indices(m), self._cum[-1])
         b = np.searchsorted(self._cum, mm, side="left")
         # add the part of block b-1 that lies beyond m
         over = np.asarray(self._cum[b] - mm, dtype=float)
@@ -366,6 +374,7 @@ class AnalyticString(FractalString):
         return np.asarray(self._fn(js), dtype=float), None
 
     def tail_sum_beyond_index(self, m):
+        _tail_indices(m)
         if self._tail is not None:
             return self._tail(m)
         return _shaped(_em_tail_sum(self._fn, np.ravel(m)), np.shape(m))

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from fractal_strings import bundled_examples, run_verify
+from fractal_strings.cli import main
 
 DATA = Path(__file__).parent / "data" / "reports"
 NAMES = sorted(bundled_examples())
@@ -49,3 +50,9 @@ def test_bundled_report_matches_payload(name):
                                  "report": run_verify(config).to_json()}))
     _assert_close(got, want, name)
 
+
+
+def test_cli_verify_example_prints_the_payload(capsys):
+    assert main(["verify", "cantor", "--example"]) == 0
+    want = json.loads((DATA / "cantor.json").read_text())
+    _assert_close(json.loads(capsys.readouterr().out), want, "cantor")

@@ -144,6 +144,33 @@ def test_cli_content(tmp_path, capsys):
         assert out[kind]["grid"]["n"] == 31
 
 
+
+@pytest.mark.parametrize("payload", [
+    A1_CONFIG,
+    # a Minkowski spread of 0.0087: measurable at the default band 0.02
+    dict(A1_CONFIG, grids={"eps0": 0.0625, "q": 0.7, "n": 20}),
+    dict(A1_CONFIG, grids={"eps0": 0.0625, "q": 0.7, "n": 20}, band=0.005),
+], ids=["defaults", "grid", "grid-and-band"])
+def test_cli_content_equals_run_verify_contents(tmp_path, capsys, payload):
+    assert main(["content", _write_config(tmp_path, payload)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    report = run_verify(ExperimentConfig.from_json(payload))
+    for kind, key in (("minkowski", "i"), ("s", "ii")):
+        want = report.assertions[key]
+        assert (out[kind]["lower"], out[kind]["upper"], out[kind]["verdict"]) \
+            == (want.evidence["lower"], want.evidence["upper"], want.verdict)
+    assert out["minkowski"]["grid"]["n"] == payload.get("grids", {}).get("n", 31)
+    if "band" in payload:
+        assert out["minkowski"]["verdict"] == "nondegenerate"
+
+
+def test_cli_content_needs_D(tmp_path, capsys):
+    payload = {key: A1_CONFIG[key] for key in ("string", "gauge")}
+    with pytest.raises(SystemExit) as exc:
+        main(["content", _write_config(tmp_path, payload)])
+    assert exc.value.code == 2
+    assert "D" in json.loads(capsys.readouterr().err)["error"]
+
 def test_cli_content_rejects_unknown_keys(tmp_path, capsys):
     path = _write_config(tmp_path, dict(A1_CONFIG, grids={"jfactor": 3.0}, L=3.0))
     with pytest.raises(SystemExit) as exc:
@@ -236,6 +263,35 @@ def test_cli_exit_code_for_unknown_example(capsys):
         main(["verify", "nonsense", "--example"])
     assert exc.value.code == 2
 
+
+
+BAD_GAUGE = dict(A1_CONFIG, gauge=dict(A1_CONFIG["gauge"], rho=0.4))
+BAD_LENGTHS = {"kind": "explicit", "lengths": [1.0, -2.0]}
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("verify", BAD_GAUGE, "does not match"),
+    ("spectrum", BAD_GAUGE, "does not match"),
+    ("content", dict(A1_CONFIG, string=BAD_LENGTHS), "positive"),
+    ("string", BAD_LENGTHS, "positive"),
+], ids=["verify-gauge", "spectrum-gauge", "content-lengths", "string-lengths"])
+def test_cli_exit_code_for_construction_error(tmp_path, capsys, command,
+                                              payload, message):
+    with pytest.raises(SystemExit) as exc:
+        main([command, _write_config(tmp_path, payload)])
+    assert exc.value.code == 2
+    assert message in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_cli_verify_writes_an_unfittable_drift_slope_as_null(tmp_path, capsys):
+    # J(1) = 0 makes the S sample at eps = 0.5 zero, which has no log-log fit
+    payload = {"string": {"kind": "interval", "length": 1.0},
+               "gauge": A1_CONFIG["gauge"], "D": 0.5,
+               "grids": {"eps0": 0.5, "q": 0.5, "n": 12}}
+    assert main(["verify", _write_config(tmp_path, payload)]) == 0
+    s_content = json.loads(capsys.readouterr().out)["report"]["assertions"]["ii"]
+    assert s_content["verdict"] == "degenerate"
+    assert s_content["evidence"]["drift_slope"] is None
 
 @pytest.mark.parametrize("name", ["profile_log_D0.3", "profile_log_D0.5",
                                   "profile_log_D0.7"])

@@ -117,6 +117,21 @@ def test_a_string_small_a_no_cancellation():
     assert l > 0
 
 
+
+@pytest.mark.parametrize("string", [
+    ExplicitString([3.0, 2.0, 1.0]),
+    make_cantor(4),
+    make_profile(1.0, make_derived(power_log(0.5), 0.5)),
+    make_a_string(1.0),
+], ids=["explicit", "runlength", "profile", "a_string"])
+@pytest.mark.parametrize("m", [-1, np.array([0, -1], dtype=object)],
+                         ids=["scalar", "array"])
+def test_negative_tail_index_is_an_index_error(string, m):
+    # as length(j) for j < 1; the tails were 0, sums above the total, or a
+    # ZeroDivisionError
+    with pytest.raises(IndexError):
+        string.tail_sum_beyond_index(m)
+
 def test_interval_is_single_length():
     s = make_interval(0.7)
     assert s.count() == 1
