@@ -2,7 +2,7 @@
 
 Subcommands:
     verify    run the joint verification suite on a config file
-    spectrum  tabulate N, phi, delta and remainder ratios over a lambda grid
+    spectrum  tabulate N, phi, delta and ratios over the config's lambda grid
     content   estimate Minkowski and S contents for a string/gauge pair
     zeta      zeta-side constants for a given dimension
     string    inspect a string spec (lengths, counting function, tail sums)
@@ -19,7 +19,6 @@ import sys
 import numpy as np
 
 from .errors import ConstructionError, DomainError, NumericError
-from .gauge import gauge_from_json
 from .geometry import ScaleGrid, content_estimates
 from .harness import ExperimentConfig, bundled_examples, run_verify
 from .spectral import (ZetaContext, records_to_csv, second_term_probe, w_k,
@@ -50,16 +49,8 @@ def _write(text: str, out_path=None):
 
 
 def _emit(payload, out_path=None):
-    _write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
-                      default=_jsonable) + "\n", out_path)
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError("not JSON serializable: %r" % type(obj))
+    _write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+           + "\n", out_path)
 
 
 def cmd_verify(args) -> int:
@@ -78,11 +69,8 @@ def cmd_verify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     config = ExperimentConfig.from_json(_load_json(args.config))
-    if args.lmax <= args.lmin or args.lmin <= 0:
-        _fail(2, "need 0 < lmin < lmax")
     _, derived, string = config.build()
-    lams = np.geomspace(args.lmin, args.lmax, args.steps)
-    records = second_term_probe(string, derived, lams)
+    records = second_term_probe(string, derived, config.lam_grid())
     if args.format == "csv":
         _write(records_to_csv(records), args.out)
     else:
@@ -92,8 +80,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_content(args) -> int:
     config = ExperimentConfig.from_json(_load_json(args.config))
-    string = string_from_json(config.string_spec)
-    gauge = gauge_from_json(config.gauge_spec)
+    gauge, _, string = config.build()
     mink, sest = content_estimates(string, gauge, config.eps_grid(),
                                    band=config.band)
     _emit({kind: {"lower": v.lower, "upper": v.upper, "verdict": v.verdict,
@@ -120,7 +107,10 @@ def cmd_zeta(args) -> int:
 
 def cmd_string(args) -> int:
     spec = _load_json(args.config)
-    string = string_from_json(spec["string"] if "string" in spec else spec)
+    if isinstance(spec, dict) and "string" not in spec:  # a bare string spec
+        string = string_from_json(spec)
+    else:
+        _, _, string = ExperimentConfig.from_json(spec).build()
     count = string.count()
     n = args.n if count is None else min(args.n, count)
     eps_probe = 2.0 ** -np.arange(2, 22, 2)
@@ -149,9 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("spectrum", help="tabulate the spectral remainder")
     ps.add_argument("config")
-    ps.add_argument("--lmin", type=float, default=1e3)
-    ps.add_argument("--lmax", type=float, default=1e9)
-    ps.add_argument("--steps", type=int, default=25)
     ps.add_argument("--format", choices=("csv", "json"), default="csv")
     ps.add_argument("--out", default=None)
     ps.set_defaults(fn=cmd_spectrum)

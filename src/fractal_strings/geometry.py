@@ -191,8 +191,7 @@ def dimension_estimate(string: FractalString, grid: ScaleGrid) -> float:
     return 1.0 - slope
 
 
-def cantor_grid(periods: int = 5, points_per_period: int = 16,
-                eps0: float = 3.0 ** -4) -> ScaleGrid:
-    """Grid aligned to the multiplicative period 3 of lattice strings."""
-    n = periods * points_per_period + 1
-    return ScaleGrid.geometric(eps0, 3.0 ** (-1.0 / points_per_period), n)
+def cantor_grid() -> ScaleGrid:
+    """Grid aligned to the multiplicative period 3 of lattice strings:
+    16 points per period over 5 periods from 3^-4."""
+    return ScaleGrid.geometric(3.0 ** -4, 3.0 ** (-1.0 / 16), 5 * 16 + 1)

@@ -15,7 +15,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .gauge import gauge_from_json, make_derived
+from .gauge import gauge_from_json, gauge_to_json, make_derived, power_log
 from .geometry import (DEFAULT_BAND, ScaleGrid, cantor_grid, classify_ratio,
                        content_estimates, trailing_third)
 from .spectral import ZetaContext, second_term_probe
@@ -26,49 +26,71 @@ _COMPAT_RATIO = ("equivalent", "similar")
 _DRIFT_TOL = 0.1
 
 
-# JSON key under "grids" -> (ExperimentConfig field, type)
-_GRID_FIELDS = {
-    "eps0": ("eps0", float), "q": ("eps_ratio", float), "n": ("eps_n", int),
-    "lam0": ("lam0", float), "lam_factor": ("lam_factor", float),
-    "lam_n": ("lam_n", int), "j0": ("j0", int), "j_factor": ("j_factor", float),
-    "j_n": ("j_n", int),
+# the grid settings under "grids", with their defaults
+_GRIDS = {
+    "eps0": 2.0 ** -10, "q": 0.5, "n": 31,
+    "lam0": 1e3, "lam_factor": 4.0, "lam_n": 12,
+    # non-dyadic factor so lattice strings are sampled at varied phases
+    "j0": 16, "j_factor": 2.3, "j_n": 12,
 }
 
 _CONFIG_KEYS = ("string", "gauge", "D", "grids", "band")
 
 
+def _reject_unknown(spec: dict) -> None:
+    """ValueError naming every key of a config payload, at its top or under
+    its grids, that the format does not define."""
+    grids = spec.get("grids", {})
+    unknown = sorted(set(spec) - set(_CONFIG_KEYS))
+    if isinstance(grids, dict):
+        unknown += ["grids." + key for key in sorted(set(grids) - set(_GRIDS))]
+    if unknown:
+        raise ValueError("unknown config key(s): %s" % ", ".join(unknown))
+
+
+def _number(value, key: str, count: bool = False):
+    """A JSON number as a float, or as an int for a count; ValueError
+    naming the key for anything else."""
+    if (isinstance(value, bool)
+            or not isinstance(value, (int, float, np.integer, np.floating))
+            or (count and not float(value).is_integer())):
+        raise ValueError("%s must be %s, not %r"
+                         % (key, "an integer" if count else "a number", value))
+    return int(value) if count else float(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A run's settings.  ``grids`` holds every key of ``_GRIDS``: the
+    constructor fills the keys left out with their defaults."""
     string_spec: dict
     gauge_spec: dict
     D: float
-    eps0: float = 2.0 ** -10
-    eps_ratio: float = 0.5
-    eps_n: int = 31
-    lam0: float = 1e3
-    lam_factor: float = 4.0
-    lam_n: int = 12
-    # non-dyadic factor so lattice strings are sampled at varied phases
-    j0: int = 16
-    j_factor: float = 2.3
-    j_n: int = 12
+    grids: dict = field(default_factory=dict)
     band: float = DEFAULT_BAND
 
+    def __post_init__(self):
+        for key, value in (("string", self.string_spec),
+                           ("gauge", self.gauge_spec), ("grids", self.grids)):
+            if not isinstance(value, dict):
+                raise ValueError("%s must be a JSON object, not %r" % (key, value))
+        _reject_unknown({"grids": self.grids})
+        grids = dict(_GRIDS, **{key: _number(value, "grids." + key,
+                                             isinstance(_GRIDS[key], int))
+                                for key, value in self.grids.items()})
+        object.__setattr__(self, "grids", grids)
+        object.__setattr__(self, "D", _number(self.D, "D"))
+        object.__setattr__(self, "band", _number(self.band, "band"))
+
     @classmethod
-    def from_json(cls, spec: dict) -> "ExperimentConfig":
-        """Read a config; keys it leaves out keep the dataclass defaults,
-        and ValueError names any key the format does not define."""
-        grids = spec.get("grids", {})
-        unknown = sorted(set(spec) - set(_CONFIG_KEYS))
-        unknown += ["grids." + key for key in sorted(set(grids) - set(_GRID_FIELDS))]
-        if unknown:
-            raise ValueError("unknown config key(s): %s" % ", ".join(unknown))
-        kw = {name: kind(grids[key])
-              for key, (name, kind) in _GRID_FIELDS.items() if key in grids}
-        if "band" in spec:
-            kw["band"] = float(spec["band"])
-        return cls(string_spec=spec["string"], gauge_spec=spec["gauge"],
-                   D=float(spec["D"]), **kw)
+    def from_json(cls, spec) -> "ExperimentConfig":
+        """Read a config payload; ValueError names any key the format does
+        not define or whose value has the wrong type."""
+        if not isinstance(spec, dict):
+            raise ValueError("a config must be a JSON object, not %r" % (spec,))
+        _reject_unknown(spec)
+        return cls(string_spec=spec["string"], gauge_spec=spec["gauge"], D=spec["D"],
+                   **{key: spec[key] for key in ("grids", "band") if key in spec})
 
     def build(self):
         """(gauge, its derived functions at D, string) of this config."""
@@ -77,20 +99,16 @@ class ExperimentConfig:
         return gauge, make_derived(gauge, self.D), string
 
     def to_json(self) -> dict:
-        return {
-            "string": self.string_spec,
-            "gauge": self.gauge_spec,
-            "D": self.D,
-            "grids": {key: getattr(self, name)
-                      for key, (name, _) in _GRID_FIELDS.items()},
-            "band": self.band,
-        }
+        return {"string": self.string_spec, "gauge": self.gauge_spec,
+                "D": self.D, "grids": dict(self.grids), "band": self.band}
 
     def eps_grid(self) -> ScaleGrid:
-        return ScaleGrid.geometric(self.eps0, self.eps_ratio, self.eps_n)
+        g = self.grids
+        return ScaleGrid.geometric(g["eps0"], g["q"], g["n"])
 
     def lam_grid(self) -> np.ndarray:
-        return self.lam0 * self.lam_factor ** np.arange(self.lam_n)
+        g = self.grids
+        return g["lam0"] * g["lam_factor"] ** np.arange(g["lam_n"])
 
 
 @dataclass
@@ -168,7 +186,8 @@ def run_verify(config: ExperimentConfig) -> VerificationReport:
             est.verdict == "measurable", bounds)
 
     # (iii) l_j against g(j), (viii) l_j ~ L g(j), on one j grid
-    js = np.unique(np.round(config.j0 * config.j_factor ** np.arange(config.j_n)).astype(int))
+    g = config.grids
+    js = np.unique(np.round(g["j0"] * g["j_factor"] ** np.arange(g["j_n"])).astype(int))
     js = js[js >= max(1, int(math.ceil(derived.valid_from)))]
     count = string.count()
     if count is not None:
@@ -243,12 +262,6 @@ def run_verify(config: ExperimentConfig) -> VerificationReport:
 # -- bundled example configurations ----------------------------------------
 
 
-def _powerlog(D: float, log_exponents=(), domain_upper: float = 1.0) -> dict:
-    """The spec of the gauge of index 1 - D with the given log exponents."""
-    return {"form": "powerlog", "rho": 1.0 - D,
-            "log_exponents": list(log_exponents), "domain_upper": domain_upper}
-
-
 def bundled_examples() -> Dict[str, ExperimentConfig]:
     """Reference configurations spanning measurable, oscillating and
     log-corrected regimes."""
@@ -256,23 +269,20 @@ def bundled_examples() -> Dict[str, ExperimentConfig]:
     for a in (0.5, 1.0, 2.0):
         D = 1.0 / (a + 1.0)
         configs["a_string_%g" % a] = ExperimentConfig(
-            string_spec={"kind": "a_string", "a": a}, gauge_spec=_powerlog(D), D=D)
+            string_spec={"kind": "a_string", "a": a},
+            gauge_spec=gauge_to_json(power_log(1.0 - D)), D=D)
     D_cantor = math.log(2.0) / math.log(3.0)
-    grid = cantor_grid()
     configs["cantor"] = ExperimentConfig(
-        string_spec={"kind": "cantor"}, gauge_spec=_powerlog(D_cantor),
-        D=D_cantor,
-        eps0=float(grid.scales[0]),
-        eps_ratio=float(grid.scales[1] / grid.scales[0]),
-        eps_n=int(grid.scales.size),
-        lam0=1e3, lam_factor=9.0, lam_n=12)
+        string_spec={"kind": "cantor"},
+        gauge_spec=gauge_to_json(power_log(1.0 - D_cantor)), D=D_cantor,
+        grids=dict(cantor_grid().to_json(), lam_factor=9.0))
     # log corrections decay like 1/log(1/eps); the log profiles sample deep
     # scales so the trailing spread falls inside the measurability band
-    deep = {"eps0": 2.0 ** -60, "eps_ratio": 0.25, "eps_n": 31}
+    deep = {"eps0": 2.0 ** -60, "q": 0.25}
     for D in (0.3, 0.5, 0.7):
-        for name, gauge, grids in (("power", _powerlog(D), {}),
-                                   ("log", _powerlog(D, [1.0], 0.1), deep)):
+        for name, log_exponents, grids in (("power", (), {}), ("log", (1.0,), deep)):
+            gauge = gauge_to_json(power_log(1.0 - D, log_exponents))
             configs["profile_%s_D%g" % (name, D)] = ExperimentConfig(
                 string_spec={"kind": "profile", "L": 1.0, "gauge": gauge},
-                gauge_spec=gauge, D=D, **grids)
+                gauge_spec=gauge, D=D, grids=grids)
     return configs

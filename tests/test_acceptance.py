@@ -89,7 +89,7 @@ def test_lattice_oscillation_detected_and_measurability_rejected():
     D = math.log(2.0) / math.log(3.0)
     g = power_log(1.0 - D)
     c = make_cantor()
-    grid = cantor_grid(periods=5)
+    grid = cantor_grid()
     t0 = time.monotonic()
     m, se = content_estimates(c, g, grid)
     assert time.monotonic() - t0 < 2.0

@@ -45,6 +45,40 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_json(spec)
 
 
+@pytest.mark.parametrize("payload, key", [
+    (dict(A1_CONFIG, D=None), "D"),
+    (dict(A1_CONFIG, band=None), "band"),
+    ([A1_CONFIG], "config"),
+    (dict(A1_CONFIG, string="cantor"), "string"),
+    (dict(A1_CONFIG, gauge=5), "gauge"),
+    (dict(A1_CONFIG, grids=[]), "grids"),
+    # a fractional count would be truncated to 12
+    (dict(A1_CONFIG, grids={"n": 12.7}), "grids.n"),
+], ids=["D-null", "band-null", "list", "string-str", "gauge-int", "grids-list",
+        "fractional-count"])
+def test_cli_verify_rejects_a_config_value_of_the_wrong_type(tmp_path, capsys,
+                                                            payload, key):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", _write_config(tmp_path, payload)])
+    assert exc.value.code == 2
+    assert key in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_config_fills_the_grid_keys_left_out():
+    cfg = ExperimentConfig(string_spec=A1_CONFIG["string"],
+                           gauge_spec=A1_CONFIG["gauge"], D=0.5,
+                           grids={"n": 20.0, "lam_factor": 9})
+    assert cfg.grids["n"] == 20 and isinstance(cfg.grids["n"], int)
+    assert cfg.grids["lam_factor"] == 9.0 and isinstance(cfg.grids["lam_factor"], float)
+    assert cfg.grids["j_factor"] == 2.3
+    assert list(cfg.to_json()["grids"]) == ["eps0", "q", "n", "lam0", "lam_factor",
+                                            "lam_n", "j0", "j_factor", "j_n"]
+    with pytest.raises(ValueError, match=r"grids\.jfactor"):
+        ExperimentConfig(string_spec=A1_CONFIG["string"],
+                         gauge_spec=A1_CONFIG["gauge"], D=0.5,
+                         grids={"jfactor": 3.0})
+
+
 def test_run_verify_is_deterministic():
     cfg = ExperimentConfig.from_json(A1_CONFIG)
     r1 = json.dumps(run_verify(cfg).to_json(), sort_keys=True)
@@ -125,12 +159,28 @@ def test_cli_verify_bundled_example(capsys):
 
 
 def test_cli_spectrum_csv(tmp_path, capsys):
-    path = _write_config(tmp_path, A1_CONFIG)
-    assert main(["spectrum", path, "--lmin", "1e4", "--lmax", "1e6",
-                 "--steps", "9"]) == 0
+    # nine lambdas from 1e4 to 1e6
+    grids = {"lam0": 1e4, "lam_factor": 10.0 ** 0.25, "lam_n": 9}
+    path = _write_config(tmp_path, dict(A1_CONFIG, grids=grids))
+    assert main(["spectrum", path]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "lambda,N,phi,delta,f,remainder_ratio,delta_ratio"
     assert len(lines) == 10
+    assert float(lines[1].split(",")[0]) == 1e4
+    assert float(lines[-1].split(",")[0]) == pytest.approx(1e6, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["a_string_1", "cantor", "profile_log_D0.5"])
+def test_cli_spectrum_samples_the_verify_lambda_grid(tmp_path, capsys, name):
+    cfg = bundled_examples()[name]
+    assert main(["spectrum", _write_config(tmp_path, cfg.to_json()),
+                 "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    report = run_verify(cfg)
+    for key, ratio in (("iv", "delta_ratio"), ("v", "remainder_ratio")):
+        assert [row[ratio] for row in rows] == report.assertions[key].evidence["values"]
+    assert len(rows) == 12
+    assert [row["lambda"] for row in rows] == cfg.lam_grid().tolist()
 
 
 def test_cli_content(tmp_path, capsys):
@@ -188,13 +238,12 @@ def test_cli_spectrum_rejects_unknown_keys(tmp_path, capsys):
             in json.loads(capsys.readouterr().err)["error"])
 
 
-def test_cli_spectrum_checks_the_lambda_range_before_the_string(tmp_path, capsys):
-    # an unknown string kind would exit 2 too, naming the kind
-    path = _write_config(tmp_path, dict(A1_CONFIG, string={"kind": "nope"}))
+def test_cli_spectrum_rejects_a_negative_lam0(tmp_path, capsys):
+    path = _write_config(tmp_path, dict(A1_CONFIG, grids={"lam0": -1e3}))
     with pytest.raises(SystemExit) as exc:
-        main(["spectrum", path, "--lmin", "1e6", "--lmax", "1e4"])
+        main(["spectrum", path])
     assert exc.value.code == 2
-    assert "lmin" in json.loads(capsys.readouterr().err)["error"]
+    assert "lambda" in json.loads(capsys.readouterr().err)["error"]
 
 
 @pytest.mark.parametrize("part, spec, key", [
@@ -226,6 +275,28 @@ def test_cli_string_inspection(tmp_path, capsys):
     assert main(["string", path, "-n", "3"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["first_lengths"][0] == pytest.approx(1 / 3)
+
+
+def test_cli_string_reads_a_whole_config_through_the_config_reader(tmp_path,
+                                                                  capsys):
+    bare = _write_config(tmp_path, A1_CONFIG["string"])
+    assert main(["string", bare]) == 0
+    want = capsys.readouterr().out
+    whole = tmp_path / "whole.json"
+    whole.write_text(json.dumps(A1_CONFIG))
+    assert main(["string", str(whole)]) == 0
+    assert capsys.readouterr().out == want
+    whole.write_text(json.dumps({"string": A1_CONFIG["string"], "bogus": 1,
+                                 "D": "x"}))
+    with pytest.raises(SystemExit) as exc:
+        main(["string", str(whole)])
+    assert exc.value.code == 2
+    assert "bogus" in json.loads(capsys.readouterr().err)["error"]
+    whole.write_text(json.dumps([A1_CONFIG["string"]]))
+    with pytest.raises(SystemExit) as exc:
+        main(["string", str(whole)])
+    assert exc.value.code == 2
+    assert "JSON object" in json.loads(capsys.readouterr().err)["error"]
 
 
 @pytest.mark.parametrize("spec, lengths", [
@@ -274,7 +345,11 @@ BAD_LENGTHS = {"kind": "explicit", "lengths": [1.0, -2.0]}
     ("spectrum", BAD_GAUGE, "does not match"),
     ("content", dict(A1_CONFIG, string=BAD_LENGTHS), "positive"),
     ("string", BAD_LENGTHS, "positive"),
-], ids=["verify-gauge", "spectrum-gauge", "content-lengths", "string-lengths"])
+    # content and string build the whole config too, gauge and D included
+    ("content", dict(A1_CONFIG, D=0.3), "does not match"),
+    ("string", BAD_GAUGE, "does not match"),
+], ids=["verify-gauge", "spectrum-gauge", "content-lengths", "string-lengths",
+        "content-D", "string-gauge"])
 def test_cli_exit_code_for_construction_error(tmp_path, capsys, command,
                                               payload, message):
     with pytest.raises(SystemExit) as exc:
