@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError, NumericError
 from .geometry import ScaleGrid, content_estimates
-from .harness import ExperimentConfig, bundled_examples, run_verify
+from .harness import ExperimentConfig, bundled_example, run_verify
 from .spectral import (ZetaContext, records_to_csv, second_term_probe, w_k,
                        zeta, zeta_from_wk)
 from .strings import string_from_json
@@ -55,11 +55,7 @@ def _emit(payload, out_path=None):
 
 def cmd_verify(args) -> int:
     if args.example:
-        examples = bundled_examples()
-        if args.config not in examples:
-            _fail(2, "unknown example %r (have: %s)"
-                  % (args.config, ", ".join(sorted(examples))))
-        config = examples[args.config]
+        config = bundled_example(args.config)
     else:
         config = ExperimentConfig.from_json(_load_json(args.config))
     report = run_verify(config)

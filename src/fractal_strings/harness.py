@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -262,27 +262,45 @@ def run_verify(config: ExperimentConfig) -> VerificationReport:
 # -- bundled example configurations ----------------------------------------
 
 
-def bundled_examples() -> Dict[str, ExperimentConfig]:
-    """Reference configurations spanning measurable, oscillating and
-    log-corrected regimes."""
-    configs: Dict[str, ExperimentConfig] = {}
+def _bundled(keep: Callable[[str], bool] = lambda name: True):
+    """(name, config) of each bundled configuration whose name keep
+    accepts: a configuration is built only when it is yielded."""
     for a in (0.5, 1.0, 2.0):
-        D = 1.0 / (a + 1.0)
-        configs["a_string_%g" % a] = ExperimentConfig(
-            string_spec={"kind": "a_string", "a": a},
-            gauge_spec=gauge_to_json(power_log(1.0 - D)), D=D)
-    D_cantor = math.log(2.0) / math.log(3.0)
-    configs["cantor"] = ExperimentConfig(
-        string_spec={"kind": "cantor"},
-        gauge_spec=gauge_to_json(power_log(1.0 - D_cantor)), D=D_cantor,
-        grids=dict(cantor_grid().to_json(), lam_factor=9.0))
+        name = "a_string_%g" % a
+        if keep(name):
+            D = 1.0 / (a + 1.0)
+            yield name, ExperimentConfig(
+                string_spec={"kind": "a_string", "a": a},
+                gauge_spec=gauge_to_json(power_log(1.0 - D)), D=D)
+    if keep("cantor"):
+        D_cantor = math.log(2.0) / math.log(3.0)
+        yield "cantor", ExperimentConfig(
+            string_spec={"kind": "cantor"},
+            gauge_spec=gauge_to_json(power_log(1.0 - D_cantor)), D=D_cantor,
+            grids=dict(cantor_grid().to_json(), lam_factor=9.0))
     # log corrections decay like 1/log(1/eps); the log profiles sample deep
     # scales so the trailing spread falls inside the measurability band
     deep = {"eps0": 2.0 ** -60, "q": 0.25}
     for D in (0.3, 0.5, 0.7):
-        for name, log_exponents, grids in (("power", (), {}), ("log", (1.0,), deep)):
-            gauge = gauge_to_json(power_log(1.0 - D, log_exponents))
-            configs["profile_%s_D%g" % (name, D)] = ExperimentConfig(
-                string_spec={"kind": "profile", "L": 1.0, "gauge": gauge},
-                gauge_spec=gauge, D=D, grids=grids)
-    return configs
+        for kind, log_exponents, grids in (("power", (), {}), ("log", (1.0,), deep)):
+            name = "profile_%s_D%g" % (kind, D)
+            if keep(name):
+                gauge = gauge_to_json(power_log(1.0 - D, log_exponents))
+                yield name, ExperimentConfig(
+                    string_spec={"kind": "profile", "L": 1.0, "gauge": gauge},
+                    gauge_spec=gauge, D=D, grids=grids)
+
+
+def bundled_examples() -> Dict[str, ExperimentConfig]:
+    """Reference configurations spanning measurable, oscillating and
+    log-corrected regimes."""
+    return dict(_bundled())
+
+
+def bundled_example(name: str) -> ExperimentConfig:
+    """The bundled configuration called name, built alone; ValueError
+    listing the names for any other name."""
+    for _, config in _bundled(lambda candidate: candidate == name):
+        return config
+    raise ValueError("unknown example %r (have: %s)"
+                     % (name, ", ".join(sorted(bundled_examples()))))

@@ -11,6 +11,25 @@ splitting) decides which side of p the product lies on, and N is a Python
 int however large.  A unit-weight head's fraction sum is exact before its
 one rounding (see ``_unit_fraction_sum``); ``eigen_count`` forms no
 fractions at all.
+
+Two kernels take the head, the J(1/x) lengths with l_j x >= 1.  The direct
+kernel floors every head product.  An ``AnalyticString`` head longer than
+``_DIRECT_MAX`` = 2^15 lengths takes Dirichlet's hyperbola method instead
+(Tenenbaum, Introduction to Analytic and Probabilistic Number Theory,
+I.3.2).  With c_k = #{j : x l_j >= k}, K1 = floor(x^(1/3)) and
+j1 = c_(K1+1),
+
+    N = sum_(j <= j1) floor(x l_j) + S,   S = sum_(k <= K1) (c_k - j1),
+    delta(x) = sum_(j <= j1) {x l_j} + x tail(j1) - S,
+
+from one ``J`` call on k/x and j1 + 2 K1 further lengths.  For
+l_j ~ j^(-1/D), j1 is about x^(2D/3) where the direct head holds about x^D;
+K1 is at most head^(2/3), so that below D = 1/2 the lengths taken stay
+fewer than the head's.  The c_k are exact (see ``_counts_reaching``), so N
+is the same int; delta is formed apart from N, so phi - N = delta stays a
+check.  Explicit and run-length strings keep the direct kernel: their head
+is a slice of lengths already in memory, and it is the hyperbola kernel's
+oracle in the tests.
 """
 
 from __future__ import annotations
@@ -18,12 +37,13 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from .gauge import DerivedFunctions
-from .strings import FractalString
+from .strings import AnalyticString, FractalString, _gallop
 
 _SPLITTER = 2.0 ** 27 + 1.0  # Veltkamp: a double splits into two 26-bit halves
 
@@ -45,24 +65,21 @@ def _product_error(a, b):
 # _SLICE lengths at a time (see _unit_fraction_sum)
 _LIMB = 2.0 ** 27
 _SLICE = 1 << 26
+# an analytic head longer than this takes the hyperbola kernel
+_DIRECT_MAX = 2 ** 15
 
 
-def _head_products(string: FractalString, x: float):
-    """(mult, p, floor(p), tie indices, e at the ties) for the head: one
-    runs_above(eps), p = fl(l_j x), and e with l_j x = p + e exactly where
-    p is an integer; mult is None for unit weights.
+def _products(vals: np.ndarray, x: float):
+    """(p, floor(p), tie indices, e at the ties) for the lengths vals:
+    p = fl(l_j x), and e with l_j x = p + e exactly where p is an integer.
 
-    eps lies just below 1/x, so the head holds every length whose exact
-    product with x reaches 1; a length left out has floor(l_j x) = 0 and
-    {l_j x} = l_j x.  floor(p) is exact unless p is an integer, where the
-    rounding may have crossed it; there p + floor(e) is.
+    floor(p) is exact unless p is an integer, where the rounding may have
+    crossed it; there p + floor(e) is.
     """
-    eps = (1.0 / x) * (1.0 - 2.0 ** -50)
-    vals, mult = string.runs_above(eps)
     p = vals * x
     floors = np.floor(p)
     at = np.flatnonzero(p == floors)
-    return mult, p, floors, at, _product_error(vals[at], x)
+    return p, floors, at, _product_error(vals[at], x)
 
 
 def _count(mult, floors, at, err_floors) -> int:
@@ -99,16 +116,19 @@ def _unit_fraction_sum(fracs, floors, ties) -> float:
     return math.fsum(limbs + ties.tolist())
 
 
-def _head(string: FractalString, x: float):
-    """(N, sum of {l_j x} over the head, number of head lengths).
+def _direct(vals: np.ndarray, mult, x: float, fractions: bool = True):
+    """(N, sum of {l_j x} or None without fractions, number of lengths)
+    over the lengths vals with multiplicities mult (None for unit weights).
 
     A run-length head has Python-int multiplicities and at most ``depth``
     blocks: it keeps the weighted fsum.  A unit-weight head sums its
     fractions in exact limbs.
     """
-    mult, fracs, floors, at, err = _head_products(string, x)
+    fracs, floors, at, err = _products(vals, x)
     err_floors = np.floor(err)
     n = _count(mult, floors, at, err_floors)
+    if not fractions:
+        return n, None, None
     fracs -= floors
     ties = err - err_floors
     if mult is None:
@@ -117,26 +137,85 @@ def _head(string: FractalString, x: float):
     return n, math.fsum(np.asarray(mult, dtype=float) * fracs), int(mult.sum())
 
 
+def _reaches(lengths, x: float, k):
+    """x l >= k exactly, for lengths l and integers k (arrays or floats)."""
+    p = lengths * x
+    return (p > k) | ((p == k) & (_product_error(lengths, x) >= 0.0))
+
+
+def _counts_reaching(string: AnalyticString, x: float, k: np.ndarray) -> np.ndarray:
+    """c_k = #{j : x l_j >= k} for an array of integers k, as Python ints
+    in an object array.
+
+    J(k/x) counts the lengths above fl(k/x), and below 2^53 each of them
+    reaches k.  One length call at c_k and c_k + 1 tests the exact
+    products; where the test fails, as where lengths equal to fl(k/x)
+    reach k too, the count gallops to its boundary on the exact test.
+    """
+    c = string.J(k / x)
+    cf = c.astype(float)
+    lo, hi = string.length(np.concatenate((np.maximum(cf, 1.0), cf + 1.0))).reshape(2, -1)
+    wrong = ~(((cf == 0.0) | _reaches(lo, x, k)) & ~_reaches(hi, x, k))
+    for i in np.flatnonzero(wrong).tolist():
+        def reaches(j, kk=float(k[i])):
+            return _reaches(string.length(j), x, kk)
+        c[i] = _gallop(reaches, max(c[i], 1)) if reaches(1) else 0
+    return c
+
+
+def _hyperbola(string: AnalyticString, x: float, head: int, fractions: bool):
+    """(N, sum_(j <= j1) {x l_j} - S or None without fractions, j1) by
+    Dirichlet's hyperbola method (see the module docstring), for an
+    analytic string whose head holds ``head`` lengths.  The lengths past
+    j1 have floor(x l_j) <= K1: the c_k - j1 count them."""
+    K1 = min(int(x ** (1.0 / 3.0)), int(head ** (2.0 / 3.0)))
+    c = _counts_reaching(string, x, np.arange(1.0, K1 + 2.0))
+    j1 = c[-1]
+    n, fracs, _ = _direct(string.length(np.arange(1.0, j1 + 1.0)), None, x, fractions)
+    s = sum(c[:-1].tolist()) - K1 * j1
+    return n + s, math.fsum((fracs, -s)) if fractions else None, j1
+
+
+def _head(string: FractalString, x: float, fractions: bool = True):
+    """(N, head part of delta(x), j), with delta(x) = head part
+    + x * tail_sum_beyond_index(j); without fractions only N is formed.
+
+    The head holds the lengths above eps, just below 1/x: every length
+    whose exact product with x reaches 1.  A length left out has
+    floor(l_j x) = 0 and {l_j x} = l_j x.  A stored head is one
+    runs_above slice; an analytic head of up to _DIRECT_MAX lengths takes
+    one J and one length call, and a longer one the hyperbola kernel.
+    """
+    eps = (1.0 / x) * (1.0 - 2.0 ** -50)
+    if not isinstance(string, AnalyticString):
+        return _direct(*string.runs_above(eps), x, fractions)
+    j = string.J(eps)
+    if j > _DIRECT_MAX:
+        return _hyperbola(string, x, j, fractions)
+    return _direct(string.length(np.arange(1.0, j + 1.0)), None, x, fractions)
+
+
+def _positive(value: float, name: str) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError("%s must be a positive finite number" % name)
+
+
 def eigen_count(string: FractalString, lam: float) -> int:
     """N(lambda) = sum_j floor(l_j sqrt(lambda)/pi), as an exact int."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    mult, _, floors, at, err = _head_products(string, math.sqrt(lam) / math.pi)
-    return _count(mult, floors, at, np.floor(err))
+    _positive(lam, "lambda")
+    return _head(string, math.sqrt(lam) / math.pi, fractions=False)[0]
 
 
 def weyl_term(string: FractalString, lam: float) -> float:
     """phi(lambda) = |Omega| sqrt(lambda) / pi (one-dimensional Weyl term)."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    _positive(lam, "lambda")
     return string.total_length() * math.sqrt(lam) / math.pi
 
 
 def packing_defect(string: FractalString, x: float) -> float:
-    """delta(x) = sum_j {l_j x}, split into head fractional parts and an
-    exact tail x * sum_{j > J(eps)} l_j, eps just below 1/x."""
-    if x <= 0:
-        raise ValueError("x must be positive")
+    """delta(x) = sum_j {l_j x}: the head part and an exact tail
+    x * sum_{j > j_head} l_j."""
+    _positive(x, "x")
     _, head, j = _head(string, x)
     return head + x * string.tail_sum_beyond_index(j)
 
@@ -211,8 +290,9 @@ class ZetaContext:
     D: float
     L: float = 1.0
 
-    @property
+    @cached_property
     def zeta_D(self) -> float:
+        """zeta(D), evaluated once per context."""
         return zeta(self.D)
 
     @property
@@ -267,8 +347,8 @@ def second_term_probe(string: FractalString, derived: DerivedFunctions,
     increasing lambda, leaving out each lambda where f(sqrt(lambda)/pi) is
     undefined; f takes one call per grid."""
     lams = np.sort(np.asarray(lam_grid, dtype=float))
-    if not np.all(lams >= 0.0):
-        raise ValueError("lambda must be a non-negative number")
+    if not np.all((lams >= 0.0) & (lams < math.inf)):
+        raise ValueError("lambda must be a non-negative finite number")
     sq = np.sqrt(lams)
     keep = sq / math.pi >= derived.valid_from
     lams, sq = lams[keep], sq[keep]

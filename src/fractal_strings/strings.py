@@ -174,6 +174,30 @@ def _gauge_side_integral(gauge: GaugeFunction, Y: np.ndarray) -> np.ndarray:
     return gauge.h(Y) * (1.0 - rho + excess) / rho
 
 
+def _gallop(above: Callable[[int], bool], j: int) -> int:
+    """The largest index i with above(i), for a predicate that holds on
+    1, ..., i and on no index past i, found from the guess j >= 1 by
+    galloping to lo < hi with above(lo) and not above(hi), then bisecting."""
+    step = 1
+    if above(j):
+        lo, hi = j, j + 1
+        while above(hi):
+            lo, step = hi, 2 * step
+            hi = j + step
+    else:
+        lo, hi = j - 1, j
+        while lo > 1 and not above(lo):
+            hi, step = lo, 2 * step
+            lo = max(1, j - step)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 class FractalString:
     """Base interface: a non-increasing positive sequence l_1 >= l_2 >= ... ."""
 
@@ -294,11 +318,14 @@ class AnalyticString(FractalString):
     the exact sum_{j > m} l_j for what ``tail_sum_beyond_index`` is given,
     an int m or an array of them.  ``inv_hint`` maps a float array of eps
     to real approximations of the j solving l_j = eps.  ``J`` tests the
-    floors j of all of them in one length_fn call: j passes when
-    l_j > eps >= l_(j+1), and j - 1 when l_(j-1) > eps >= l_j (a tie that
-    the hint rounded up onto).  Any other start gallops outward to a
-    bracket, in O(log |hint error|) scalar evaluations; with the exact
-    inverse as hint, as for ``make_profile``, that is rare.
+    floors j of all of them in one length_fn call, at l_1 and at j - 1, j
+    and j + 1: j passes when l_j > eps >= l_(j+1), and j - 1 when
+    l_(j-1) > eps >= l_j (a tie that the hint rounded up onto).  For an
+    array of eps the tests are numpy masks over the whole array, and only
+    the starts that fail them gallop outward to a bracket, each in
+    O(log |hint error|) scalar evaluations; with the exact inverse as hint,
+    as for ``make_profile``, that is rare.  One eps takes the same tests on
+    Python floats, at half the cost of the masks on a one-element array.
 
     Below 2^53, ``J`` is exact: the largest j with l_j > eps.  Past 2^53,
     float(j) merges neighbouring indices and the float profile carries
@@ -325,48 +352,47 @@ class AnalyticString(FractalString):
 
     def J(self, eps):
         e = np.asarray(eps, dtype=float)
-        hints = np.broadcast_to(np.asarray(self._inv(e.ravel()), dtype=float), e.size)
-        starts = [max(1, int(h)) for h in hints.tolist()]
-        spans = [j >> 43 if j >= _EXACT_INDEX else 1 for j in starts]
-        # l_1, then l(j - s), l(j) and l(j + s) for every start j
-        index = ([1] + [max(1, j - s) for j, s in zip(starts, spans)] + starts
-                 + [j + s for j, s in zip(starts, spans)])
-        values = np.asarray(self._fn(np.array(index, dtype=float)), dtype=float)
-        brackets = values[1:].reshape(3, -1).T.tolist()
-        out = np.zeros(e.size, dtype=object)
-        for i, (x, j, (lo, mid, hi)) in enumerate(zip(e.ravel().tolist(), starts, brackets)):
-            exact = j < _EXACT_INDEX
-            if values[0] <= x:
-                continue
-            if (mid if exact else lo) > x >= hi:
+        if not e.shape:
+            return self._J_one(e)
+        x = e.ravel()
+        starts = np.maximum(np.floor(np.asarray(self._inv(x), dtype=float)), 1.0,
+                            out=np.empty(x.size))
+        big = starts >= _EXACT_INDEX
+        # j and s are integer floats, so j - s and j + s round as in _J_one
+        spans = np.where(big, np.floor(starts * 2.0 ** -43), 1.0)
+        values = np.asarray(self._fn(np.concatenate(
+            ([1.0], np.maximum(starts - spans, 1.0), starts, starts + spans))), dtype=float)
+        lo, mid, hi = values[1:].reshape(3, -1) > x
+        # below 2^53: j where mid > eps >= hi, j - 1 where lo > eps >= mid
+        fits = ~big & ((mid > hi) | (lo > mid))
+        out = np.where(fits, starts - 1.0 + mid, 0.0).astype(np.int64).astype(object)
+        for i in np.flatnonzero(~fits).tolist():
+            j = int(starts[i])
+            if x[i] >= values[0]:
+                out[i] = 0
+            elif big[i] and lo[i] > hi[i]:
                 out[i] = j
-            elif exact and lo > x >= mid:
-                out[i] = j - 1  # the hint rounded up onto a tie l_j = eps
             else:
-                out[i] = self._gallop(x, j)
+                out[i] = _gallop(lambda n, eps=float(x[i]): self.length(n) > eps, j)
         return _shaped(out, e.shape)
 
-    def _gallop(self, eps: float, j: int) -> int:
-        """The J of eps found from j by galloping to lo < hi with
-        l_lo > eps >= l_hi (l_1 > eps), then bisecting."""
-        step = 1
-        if self.length(j) > eps:
-            lo, hi = j, j + 1
-            while self.length(hi) > eps:
-                lo, step = hi, 2 * step
-                hi = j + step
-        else:
-            lo, hi = j - 1, j
-            while lo > 1 and self.length(lo) <= eps:
-                hi, step = lo, 2 * step
-                lo = max(1, j - step)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.length(mid) > eps:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+    def _J_one(self, e: np.ndarray) -> int:
+        """J of a 0-d eps array: the tests of J on Python floats."""
+        eps = float(e)
+        j = max(1, int(np.asarray(self._inv(e.ravel()), dtype=float).flat[0]))
+        s = j >> 43 if j >= _EXACT_INDEX else 1
+        index = np.array([1.0, max(1, j - s), j, j + s], dtype=float)
+        l1, lo, mid, hi = np.asarray(self._fn(index), dtype=float).tolist()
+        if eps >= l1:
+            return 0
+        if j < _EXACT_INDEX:
+            if mid > eps >= hi:
+                return j
+            if lo > eps >= mid:
+                return j - 1  # the hint rounded up onto a tie l_j = eps
+        elif lo > eps >= hi:
+            return j
+        return _gallop(lambda n: self.length(n) > eps, j)
 
     def runs_above(self, eps: float):
         j = self.J(eps)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fractal_strings import ExperimentConfig, bundled_examples, run_verify
-from fractal_strings import gauge, strings
+from fractal_strings import gauge, harness, strings
 from fractal_strings.cli import main
 
 A1_CONFIG = {
@@ -333,6 +333,25 @@ def test_cli_exit_code_for_unknown_example(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense", "--example"])
     assert exc.value.code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == "unknown example 'nonsense' (have: %s)" % ", ".join(
+        sorted(bundled_examples()))
+
+
+def test_bundled_example_builds_only_the_named_config(monkeypatch):
+    examples = bundled_examples()
+    built = []
+
+    class Counted(harness.ExperimentConfig):
+        def __post_init__(self):
+            built.append(self.string_spec["kind"])
+            super().__post_init__()
+
+    monkeypatch.setattr(harness, "ExperimentConfig", Counted)
+    for name, config in examples.items():
+        del built[:]
+        assert harness.bundled_example(name).to_json() == config.to_json()
+        assert len(built) == 1
 
 
 

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fractal_strings import (ExplicitString, RunLengthString, ZetaContext,
-                             eigen_count, eta, make_a_string, make_cantor,
-                             make_derived, make_interval, make_profile,
-                             packing_defect, power_log, records_to_csv,
+from fractal_strings import (AnalyticString, ExplicitString, RunLengthString,
+                             ZetaContext, bundled_examples, eigen_count, eta,
+                             make_a_string, make_cantor, make_derived,
+                             make_interval, make_profile, packing_defect,
+                             power_log, records_to_csv,
                              remainder_identity_check, second_term_probe,
                              spectral, spectral_point, w_k, weyl_term, zeta,
                              zeta_from_wk)
@@ -97,6 +98,16 @@ def test_remainder_identity_check_runs_over_grid():
     assert worst < 1e-10
 
 
+def test_zeta_context_evaluates_zeta_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(spectral, "zeta", lambda s: calls.append(s) or ZETA_05)
+    ctx = ZetaContext(D=0.5, L=2.0)
+    values = (ctx.zeta_D, ctx.c1D, ctx.target_remainder, ctx.target_delta_ratio,
+              ctx.identity_residual(), ctx.zeta_D)
+    assert calls == [0.5] and values[0] == values[-1] == ZETA_05
+    assert ctx == ZetaContext(D=0.5, L=2.0) and hash(ctx) == hash(ZetaContext(D=0.5, L=2.0))
+
+
 def test_zeta_context_constants():
     ctx = ZetaContext(D=0.5, L=1.0)
     assert ctx.zeta_D == pytest.approx(ZETA_05, abs=1e-13)
@@ -169,8 +180,14 @@ def _fraction(l, x):
     return e - math.floor(e)
 
 
-def _assert_head_sum_is_fsum_of_fractions(string, x):
-    _, head, n = spectral._head(string, x)
+def _direct_head(string, x):
+    """The direct kernel over the whole head: the oracle of the hyperbola
+    kernel."""
+    return spectral._direct(*string.runs_above((1.0 / x) * (1.0 - 2.0 ** -50)), x)
+
+
+def _assert_head_sum_is_fsum_of_fractions(string, x, kernel=spectral._head):
+    _, head, n = kernel(string, x)
     lengths = string.length(np.arange(1, n + 1)).tolist() if n else []
     assert head == math.fsum(_fraction(l, x) for l in lengths)
 
@@ -188,10 +205,108 @@ def _sweep_profile():
 
 
 def test_profile_head_fraction_sum_at_1e24():
-    # the benchmark sweep's longest head: 564 189 lengths
+    # the benchmark sweep's longest head: 564 189 lengths, in the direct
+    # kernel that the hyperbola kernel is tested against
     x = math.sqrt(1e24) / math.pi
-    assert spectral._head(_sweep_profile(), x)[2] == 564189
-    _assert_head_sum_is_fsum_of_fractions(_sweep_profile(), x)
+    assert _direct_head(_sweep_profile(), x)[2] == 564189
+    _assert_head_sum_is_fsum_of_fractions(_sweep_profile(), x, _direct_head)
+
+
+def _clamped_profile():
+    # valid_from = 1e4: 9 999 lengths clamped at 1e-8 = l_(10^4), so the
+    # counts c_k for k near x 1e-8 end inside the clamp
+    return make_profile(1.0, make_derived(power_log(0.5, (), domain_upper=1e-4), 0.5))
+
+
+def _hyperbola_case(name):
+    if name == "sweep_profile":
+        return _sweep_profile(), 1e24
+    if name == "clamped_profile":
+        return _clamped_profile(), 1e25
+    return bundled_examples()[name].build()[2], {"profile_log_D0.5": 1e19,
+                                                 "a_string_0.5": 1e21}[name]
+
+
+@pytest.mark.parametrize("name", ["sweep_profile", "profile_log_D0.5",
+                                  "a_string_0.5", "clamped_profile"])
+def test_hyperbola_kernel_equals_the_direct_kernel(name):
+    string, top = _hyperbola_case(name)
+    x_top = math.sqrt(top) / math.pi
+    xs = [math.sqrt(lam) / math.pi for lam in np.geomspace(1e9, top, 7).tolist()]
+    if name == "clamped_profile":
+        # x l_j = 100 exactly on the clamp, and a tie-free neighbour
+        xs += [1e10, 1e10 * (1.0 + 2.0 ** -52)]
+    else:
+        assert (name == "profile_log_D0.5") == (string.length(1) == string.length(9))
+    heads = 0
+    for x in xs + [x_top]:
+        n, head, j = spectral._head(string, x)
+        n_direct, head_direct, j_direct = _direct_head(string, x)
+        if j_direct <= spectral._DIRECT_MAX:
+            continue
+        heads += 1
+        assert j < j_direct
+        assert type(n) is int and n == n_direct, (name, x)
+        delta = head + x * string.tail_sum_beyond_index(j)
+        delta_direct = head_direct + x * string.tail_sum_beyond_index(j_direct)
+        assert delta == pytest.approx(delta_direct, rel=1e-12, abs=0.0), (name, x)
+        assert spectral._head(string, x, fractions=False)[0] == n
+    assert heads >= 3
+
+
+def _inverse_square_string():
+    # l_j = fl(1/j^2) ties with fl(k/x) whenever x/k is a square
+    return AnalyticString(lambda j: 1.0 / (np.asarray(j, dtype=float) ** 2),
+                          lambda eps: np.asarray(eps) ** -0.5)
+
+
+@pytest.mark.parametrize("x", [3600.0, 44100.0, 720720.0 ** 2])
+def test_counts_reaching_k_are_exact_at_ties(x):
+    string = _inverse_square_string()
+    k = np.arange(1.0, int(x ** (1.0 / 3.0)) + 2.0)
+    counts = spectral._counts_reaching(string, x, k)
+    # the boundaries that J(k/x) misplaces, all at ties l_j = fl(k/x)
+    assert (counts != string.J(k / x)).any()
+    for kk, c in zip(range(1, k.size + 1), counts.tolist()):
+        assert c == 0 or Fraction(string.length(c)) * Fraction(x) >= kk
+        assert Fraction(string.length(c + 1)) * Fraction(x) < kk
+    if x > 2 ** 30:
+        assert spectral._head(string, x)[0] == _direct_head(string, x)[0]
+
+
+def _length_calls(string, cap=math.inf):
+    """string rebuilt on a length function that records the size of each
+    call, and fails a call of more than cap lengths before making it."""
+    sizes = []
+
+    def length_fn(js):
+        sizes.append(np.size(js))
+        assert sizes[-1] <= cap
+        return string._fn(js)
+
+    return AnalyticString(length_fn, string._inv, string._tail), sizes
+
+
+def test_deep_lambda_takes_no_long_length_call():
+    # lambda = 1e25 on profile_log_D0.5: the direct head would hold 2.8e7
+    # lengths; the hyperbola kernel's head holds j1 = 184 653
+    string, sizes = _length_calls(bundled_examples()["profile_log_D0.5"].build()[2],
+                                  cap=4 * 10 ** 5)
+    n, phi, delta = spectral_point(string, 1e25)
+    assert 184653 in sizes
+    assert abs((phi - n) - delta) <= 1e-9 * phi
+
+
+def test_hyperbola_takes_no_more_lengths_than_the_head_below_half():
+    # D = 0.3 at 1e32: a head of 4.9e4 lengths, where K1 = x^(1/3) would
+    # ask J for 1.5e5 counts
+    string, sizes = _length_calls(bundled_examples()["profile_power_D0.3"].build()[2])
+    x = 1e16 / math.pi
+    n_direct, _, j_direct = _direct_head(string, x)
+    del sizes[:]
+    assert spectral._head(string, x)[0] == n_direct
+    assert j_direct > spectral._DIRECT_MAX
+    assert sum(sizes) < j_direct
 
 
 @pytest.mark.parametrize("name, string", [
@@ -240,11 +355,16 @@ def test_positive_arguments_required():
         packing_defect(s, -2.0)
     with pytest.raises(ValueError):
         weyl_term(s, -1.0)
+    for string in (s, make_a_string(1.0)):
+        for fn in (eigen_count, packing_defect, weyl_term, spectral_point):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="positive finite number"):
+                    fn(string, bad)
 
 
-@pytest.mark.parametrize("bad", [-1.0, math.nan])
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
 def test_second_term_probe_rejects_negative_lambda(bad):
     s = make_a_string(1.0)
     d = make_derived(power_log(0.5), 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-negative finite number"):
         second_term_probe(s, d, [1e4, bad, 1e6])

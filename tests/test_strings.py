@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import polygamma
 
 from fractal_strings import (AnalyticString, ExplicitString, RunLengthString,
@@ -210,6 +212,73 @@ def test_analytic_J_matches_dense_scan(name, string, epsilons):
                         lambda t: hint(t) / 1000.0):
                 s = AnalyticString(string._fn, inv, string._tail)
                 assert s.J(e) == ref, (name, e, inv)
+
+
+def _J_loop(string, eps):
+    """J by the per-element loop that the vectorized J replaces: the
+    reference for its brackets, ties and gallops."""
+    e = np.asarray(eps, dtype=float)
+    hints = np.broadcast_to(np.asarray(string._inv(e.ravel()), dtype=float), e.size)
+    starts = [max(1, int(h)) for h in hints.tolist()]
+    spans = [j >> 43 if j >= 2 ** 53 else 1 for j in starts]
+    index = ([1] + [max(1, j - s) for j, s in zip(starts, spans)] + starts
+             + [j + s for j, s in zip(starts, spans)])
+    values = np.asarray(string._fn(np.array(index, dtype=float)), dtype=float)
+    brackets = values[1:].reshape(3, -1).T.tolist()
+    out = []
+    for x, j, (lo, mid, hi) in zip(e.ravel().tolist(), starts, brackets):
+        exact = j < 2 ** 53
+        if values[0] <= x:
+            out.append(0)
+        elif (mid if exact else lo) > x >= hi:
+            out.append(j)
+        elif exact and lo > x >= mid:
+            out.append(j - 1)
+        else:
+            n = j  # gallop, then bisect
+            step = 1
+            if string.length(n) > x:
+                lo_, hi_ = n, n + 1
+                while string.length(hi_) > x:
+                    lo_, step = hi_, 2 * step
+                    hi_ = n + step
+            else:
+                lo_, hi_ = n - 1, n
+                while lo_ > 1 and string.length(lo_) <= x:
+                    hi_, step = lo_, 2 * step
+                    lo_ = max(1, n - step)
+            while hi_ - lo_ > 1:
+                m = (lo_ + hi_) // 2
+                if string.length(m) > x:
+                    lo_ = m
+                else:
+                    hi_ = m
+            out.append(lo_)
+    return out
+
+
+_HINTS = {"hint": lambda hint: hint, "one": lambda hint: (lambda t: 1.0),
+          "times_1000": lambda hint: (lambda t: 1000.0 * hint(t)),
+          "over_1000": lambda hint: (lambda t: hint(t) / 1000.0)}
+_STRINGS = {name: string for name, string, _ in _analytic_cases()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_STRINGS)), st.sampled_from(sorted(_HINTS)),
+       st.lists(st.floats(-36.0, 0.5), max_size=6),
+       st.lists(st.integers(1, 10 ** 7), max_size=4))
+# past 2^53 on all three, eps above l_1, and eps equal to lengths
+@example(name="profile_power", hint="hint", log_eps=[-34.0, -20.0, 0.5], ties=[7])
+@example(name="profile_log", hint="over_1000", log_eps=[-30.0, -3.0], ties=[3, 10])
+@example(name="a_string", hint="times_1000", log_eps=[-35.0, -25.0, -7.0], ties=[])
+def test_vectorized_J_equals_the_loop(name, hint, log_eps, ties):
+    string = _STRINGS[name]
+    s = AnalyticString(string._fn, _HINTS[hint](string._inv), string._tail)
+    eps = np.concatenate((10.0 ** np.array(log_eps), string._fn(np.array(ties, dtype=float))))
+    expected = _J_loop(s, eps)
+    assert s.J(eps).tolist() == expected
+    assert [s.J(float(e)) for e in eps] == expected
+    assert all(type(j) is int for j in expected)
 
 
 def test_profile_J_past_2_43():
