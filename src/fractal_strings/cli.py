@@ -21,8 +21,8 @@ import numpy as np
 from .errors import ConstructionError, DomainError, NumericError
 from .geometry import ScaleGrid, content_estimates
 from .harness import ExperimentConfig, bundled_example, run_verify
-from .spectral import (ZetaContext, records_to_csv, second_term_probe, w_k,
-                       zeta, zeta_from_wk)
+from .spectral import (ZetaContext, _positive, records_to_csv, second_term_probe,
+                       w_k, zeta, zeta_from_wk)
 from .strings import string_from_json
 
 
@@ -88,7 +88,8 @@ def cmd_content(args) -> int:
 def cmd_zeta(args) -> int:
     D = args.D
     if not 0.0 < D < 1.0:
-        _fail(2, "D must lie in (0, 1)")
+        _fail(2, "D must lie in (0, 1), not %r" % D)
+    _positive(args.L, "L")
     ctx = ZetaContext(D=D, L=args.L)
     table = {str(k): {"w_k": w_k(D, k), "zeta_extrapolated": zeta_from_wk(D, k)}
              for k in (100, 10000, 1000000)}
@@ -126,35 +127,26 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="fractal string numerics")
     sub = p.add_subparsers(dest="command", required=True)
 
-    pv = sub.add_parser("verify", help="run the verification suite")
+    def command(name, fn, help):
+        parser = sub.add_parser(name, help=help)
+        parser.add_argument("--out", default=None)
+        parser.set_defaults(fn=fn)
+        return parser
+
+    pv = command("verify", cmd_verify, "run the verification suite")
     pv.add_argument("config", help="config JSON path, or example name with --example")
     pv.add_argument("--example", action="store_true",
                     help="treat CONFIG as a bundled example name")
-    pv.add_argument("--out", default=None)
-    pv.set_defaults(fn=cmd_verify)
-
-    ps = sub.add_parser("spectrum", help="tabulate the spectral remainder")
+    ps = command("spectrum", cmd_spectrum, "tabulate the spectral remainder")
     ps.add_argument("config")
     ps.add_argument("--format", choices=("csv", "json"), default="csv")
-    ps.add_argument("--out", default=None)
-    ps.set_defaults(fn=cmd_spectrum)
-
-    pc = sub.add_parser("content", help="estimate contents")
-    pc.add_argument("config")
-    pc.add_argument("--out", default=None)
-    pc.set_defaults(fn=cmd_content)
-
-    pz = sub.add_parser("zeta", help="zeta-side constants")
+    command("content", cmd_content, "estimate contents").add_argument("config")
+    pz = command("zeta", cmd_zeta, "zeta-side constants")
     pz.add_argument("--D", type=float, required=True)
     pz.add_argument("--L", type=float, default=1.0)
-    pz.add_argument("--out", default=None)
-    pz.set_defaults(fn=cmd_zeta)
-
-    pstr = sub.add_parser("string", help="inspect a string spec")
+    pstr = command("string", cmd_string, "inspect a string spec")
     pstr.add_argument("config")
     pstr.add_argument("-n", type=int, default=12)
-    pstr.add_argument("--out", default=None)
-    pstr.set_defaults(fn=cmd_string)
     return p
 
 
@@ -166,9 +158,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except SystemExit:
-        raise
-    except (KeyError, ValueError, DomainError, ConstructionError) as exc:
+    except (ValueError, DomainError, ConstructionError) as exc:
         _fail(2, str(exc))
     except (NumericError, ArithmeticError) as exc:
         _fail(3, str(exc))

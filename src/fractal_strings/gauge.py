@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConstructionError, DomainError, EvaluationError, NumericError
+from .spec import REQUIRED, number, numbers, read_kind
 
 _MONOTONE_SCAN_POINTS = 64
 _NEWTON_ITERATIONS = 40
@@ -264,18 +265,12 @@ def gauge_to_json(gauge: GaugeFunction) -> dict:
     }
 
 
-def reject_unknown_keys(spec: dict, known: Sequence[str], what: str) -> None:
-    """ValueError naming every key of ``spec`` outside ``known``, so a
-    misspelt key is not silently ignored."""
-    unknown = sorted(set(spec) - set(known))
-    if unknown:
-        raise ValueError("unknown %s key(s): %s" % (what, ", ".join(unknown)))
+# each gauge form: the rows of its keys besides "form", and its constructor
+_FORMS = {"powerlog": ({"rho": (number, REQUIRED), "log_exponents": (numbers, ()),
+                        "domain_upper": (number, None)}, power_log)}
 
 
-def gauge_from_json(spec: dict) -> GaugeFunction:
-    if spec.get("form") != "powerlog":
-        raise ValueError("unknown gauge form: %r" % spec.get("form"))
-    reject_unknown_keys(spec, ("form", "rho", "log_exponents", "domain_upper"),
-                        "powerlog gauge")
-    return power_log(spec["rho"], spec.get("log_exponents", ()),
-                     spec.get("domain_upper"))
+def gauge_from_json(spec: dict, path: str = "") -> GaugeFunction:
+    """The gauge of a spec; ValueError names the key path, under path, of a
+    key that is unknown, missing or of the wrong type."""
+    return read_kind(spec, "form", _FORMS, path, "gauge")

@@ -18,6 +18,7 @@ import numpy as np
 from .gauge import gauge_from_json, gauge_to_json, make_derived, power_log
 from .geometry import (DEFAULT_BAND, ScaleGrid, cantor_grid, classify_ratio,
                        content_estimates, trailing_third)
+from .spec import REQUIRED, count, json_object, number, read
 from .spectral import ZetaContext, second_term_probe
 from .strings import string_from_json
 
@@ -26,37 +27,18 @@ _COMPAT_RATIO = ("equivalent", "similar")
 _DRIFT_TOL = 0.1
 
 
-# the grid settings under "grids", with their defaults
+# the grid settings under "grids": their types and defaults
 _GRIDS = {
-    "eps0": 2.0 ** -10, "q": 0.5, "n": 31,
-    "lam0": 1e3, "lam_factor": 4.0, "lam_n": 12,
+    "eps0": (number, 2.0 ** -10), "q": (number, 0.5), "n": (count, 31),
+    "lam0": (number, 1e3), "lam_factor": (number, 4.0), "lam_n": (count, 12),
     # non-dyadic factor so lattice strings are sampled at varied phases
-    "j0": 16, "j_factor": 2.3, "j_n": 12,
+    "j0": (count, 16), "j_factor": (number, 2.3), "j_n": (count, 12),
 }
-
-_CONFIG_KEYS = ("string", "gauge", "D", "grids", "band")
-
-
-def _reject_unknown(spec: dict) -> None:
-    """ValueError naming every key of a config payload, at its top or under
-    its grids, that the format does not define."""
-    grids = spec.get("grids", {})
-    unknown = sorted(set(spec) - set(_CONFIG_KEYS))
-    if isinstance(grids, dict):
-        unknown += ["grids." + key for key in sorted(set(grids) - set(_GRIDS))]
-    if unknown:
-        raise ValueError("unknown config key(s): %s" % ", ".join(unknown))
-
-
-def _number(value, key: str, count: bool = False):
-    """A JSON number as a float, or as an int for a count; ValueError
-    naming the key for anything else."""
-    if (isinstance(value, bool)
-            or not isinstance(value, (int, float, np.integer, np.floating))
-            or (count and not float(value).is_integer())):
-        raise ValueError("%s must be %s, not %r"
-                         % (key, "an integer" if count else "a number", value))
-    return int(value) if count else float(value)
+# a config's keys, in the order of ExperimentConfig's fields; build()
+# reads "string" and "gauge"
+_CONFIG = {"string": (json_object, REQUIRED), "gauge": (json_object, REQUIRED),
+           "D": (number, REQUIRED), "grids": (_GRIDS, {}),
+           "band": (number, DEFAULT_BAND)}
 
 
 @dataclass(frozen=True)
@@ -70,32 +52,23 @@ class ExperimentConfig:
     band: float = DEFAULT_BAND
 
     def __post_init__(self):
-        for key, value in (("string", self.string_spec),
-                           ("gauge", self.gauge_spec), ("grids", self.grids)):
-            if not isinstance(value, dict):
-                raise ValueError("%s must be a JSON object, not %r" % (key, value))
-        _reject_unknown({"grids": self.grids})
-        grids = dict(_GRIDS, **{key: _number(value, "grids." + key,
-                                             isinstance(_GRIDS[key], int))
-                                for key, value in self.grids.items()})
-        object.__setattr__(self, "grids", grids)
-        object.__setattr__(self, "D", _number(self.D, "D"))
-        object.__setattr__(self, "band", _number(self.band, "band"))
+        values = read(dict(zip(_CONFIG, (self.string_spec, self.gauge_spec, self.D,
+                                         self.grids, self.band))), _CONFIG)
+        if not 0.0 < values["band"] < 1.0:
+            raise ValueError("band must lie in (0, 1), not %r" % values["band"])
+        for key in ("D", "grids", "band"):
+            object.__setattr__(self, key, values[key])
 
     @classmethod
     def from_json(cls, spec) -> "ExperimentConfig":
-        """Read a config payload; ValueError names any key the format does
-        not define or whose value has the wrong type."""
-        if not isinstance(spec, dict):
-            raise ValueError("a config must be a JSON object, not %r" % (spec,))
-        _reject_unknown(spec)
-        return cls(string_spec=spec["string"], gauge_spec=spec["gauge"], D=spec["D"],
-                   **{key: spec[key] for key in ("grids", "band") if key in spec})
+        """Read a config payload; ValueError names the path of a key that
+        is unknown, missing or of the wrong type."""
+        return cls(*read(spec, _CONFIG).values())
 
     def build(self):
         """(gauge, its derived functions at D, string) of this config."""
-        gauge = gauge_from_json(self.gauge_spec)
-        string = string_from_json(self.string_spec)
+        gauge = gauge_from_json(self.gauge_spec, "gauge")
+        string = string_from_json(self.string_spec, "string")
         return gauge, make_derived(gauge, self.D), string
 
     def to_json(self) -> dict:

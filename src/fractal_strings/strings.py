@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import ConstructionError, NumericError
 from .gauge import (DerivedFunctions, GaugeFunction, _iterated_logs, _shaped,
-                    gauge_from_json, make_derived, reject_unknown_keys)
+                    gauge_from_json, make_derived)
+from .spec import REQUIRED, count, number, numbers, read_kind
 
 
 def _compensated_suffix_sums(values: np.ndarray) -> np.ndarray:
@@ -412,13 +413,16 @@ class AnalyticString(FractalString):
 # -- canonical families -----------------------------------------------------
 
 
-def make_interval(l: float = 1.0) -> ExplicitString:
-    """A single interval of length l."""
-    return ExplicitString([l])
+def make_interval(length: float = 1.0) -> ExplicitString:
+    """A single interval of the given length."""
+    return ExplicitString([length])
 
 
 def make_cantor(depth: int = 96) -> RunLengthString:
     """Middle-third Cantor string: lengths 3^-n with multiplicity 2^(n-1)."""
+    if not 1 <= depth <= 678:
+        raise ConstructionError("depth must lie in 1 .. 678, where 3.0 ** -depth "
+                                "is above 0, not %r" % depth)
     blocks = [(3.0 ** -n, 2 ** (n - 1)) for n in range(1, depth + 1)]
     return RunLengthString(blocks)
 
@@ -484,33 +488,25 @@ def make_profile(L: float, derived: DerivedFunctions) -> AnalyticString:
 # -- JSON wire format -------------------------------------------------------
 
 
-# keys each string kind defines, "kind" included
-_SPEC_KEYS = {
-    "cantor": ("kind", "depth"),
-    "a_string": ("kind", "a"),
-    "interval": ("kind", "length"),
-    "explicit": ("kind", "lengths"),
-    "profile": ("kind", "gauge", "L", "truncate"),
+def _profile(gauge: GaugeFunction, L: float, truncate: Optional[int]) -> FractalString:
+    """The profile string of a gauge of index 1 - D, or its first truncate
+    lengths."""
+    s = make_profile(L, make_derived(gauge, 1.0 - gauge.index))
+    return s if truncate is None else s.truncate(truncate)
+
+
+# each string kind: the rows of its keys besides "kind", and its constructor
+_KINDS = {
+    "cantor": ({"depth": (count, 96)}, make_cantor),
+    "a_string": ({"a": (number, REQUIRED)}, make_a_string),
+    "interval": ({"length": (number, 1.0)}, make_interval),
+    "explicit": ({"lengths": (numbers, REQUIRED)}, ExplicitString),
+    "profile": ({"gauge": (gauge_from_json, REQUIRED), "L": (number, 1.0),
+                 "truncate": (count, None)}, _profile),
 }
 
 
-def string_from_json(spec: dict) -> FractalString:
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
-        raise ValueError("unknown string kind: %r" % kind)
-    reject_unknown_keys(spec, _SPEC_KEYS[kind], "%s string" % kind)
-    if kind == "cantor":
-        return make_cantor(int(spec.get("depth", 96)))
-    if kind == "a_string":
-        return make_a_string(float(spec["a"]))
-    if kind == "interval":
-        return make_interval(float(spec.get("length", 1.0)))
-    if kind == "explicit":
-        return ExplicitString(spec["lengths"])
-    gauge = gauge_from_json(spec["gauge"])
-    D = 1.0 - gauge.index
-    derived = make_derived(gauge, D)
-    s = make_profile(float(spec.get("L", 1.0)), derived)
-    if "truncate" in spec:
-        return s.truncate(int(spec["truncate"]))
-    return s
+def string_from_json(spec: dict, path: str = "") -> FractalString:
+    """The string of a spec; ValueError names the key path, under path, of a
+    key that is unknown, missing or of the wrong type."""
+    return read_kind(spec, "kind", _KINDS, path, "string")

@@ -1,6 +1,10 @@
+import itertools
+import re
 import types
+from pathlib import Path
 
 import fractal_strings
+from fractal_strings import gauge, harness, spec, strings
 
 
 def test_all_names_exactly_the_public_imports():
@@ -8,3 +12,41 @@ def test_all_names_exactly_the_public_imports():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(fractal_strings.__all__) == public
     assert fractal_strings.__all__ == sorted(fractal_strings.__all__)
+
+
+def _readme_spec_table():
+    """(payload, key, type, default) of each row of the README's spec table."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("| payload | key | type | default |") + 2
+    rows = []
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        payload, key, kind, default = (cell.strip() for cell in line.strip("|").split("|"))
+        rows.append((payload, key.strip("`"), kind, default))
+    return rows
+
+
+def _backticked(text):
+    return set(re.findall(r"`([^`]+)`", text))
+
+
+def test_readme_spec_table_lists_exactly_the_readers_kinds_and_keys():
+    tables = {"config": harness._CONFIG, "`grids`": harness._GRIDS}
+    tables.update({"`%s` string" % kind: rows for kind, (rows, _) in strings._KINDS.items()})
+    tables.update({"`%s` gauge" % form: rows for form, (rows, _) in gauge._FORMS.items()})
+    names = {spec.number: "number", spec.count: "count", spec.numbers: "number list",
+             gauge.gauge_from_json: "gauge spec"}
+    want = [(payload, key) for payload, rows in tables.items() for key in rows]
+    want += [("string spec", "kind"), ("gauge spec", "form")]
+    table = _readme_spec_table()
+    assert sorted((payload, key) for payload, key, _, _ in table) == sorted(want)
+    for payload, key, kind, default in table:
+        if payload in ("string spec", "gauge spec"):
+            tags = strings._KINDS if payload == "string spec" else gauge._FORMS
+            assert (_backticked(kind), default) == (set(tags), "required")
+            continue
+        row_kind, row_default = tables[payload][key]
+        if isinstance(row_kind, dict):
+            assert kind == "object"
+        else:
+            assert kind == names.get(row_kind, "%s spec" % key), (payload, key)
+        assert default.startswith("required") == (row_default is spec.REQUIRED)

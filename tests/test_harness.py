@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fractal_strings import ExperimentConfig, bundled_examples, run_verify
-from fractal_strings import gauge, harness, strings
+from fractal_strings import cli, gauge, harness, strings
 from fractal_strings.cli import main
 
 A1_CONFIG = {
@@ -14,6 +14,7 @@ A1_CONFIG = {
               "domain_upper": 1.0},
     "D": 0.5,
 }
+PROFILE = {"kind": "profile", "L": 1.0, "gauge": A1_CONFIG["gauge"]}
 
 
 def test_config_json_roundtrip_is_identity():
@@ -54,8 +55,43 @@ def test_config_rejects_unknown_keys():
     (dict(A1_CONFIG, grids=[]), "grids"),
     # a fractional count would be truncated to 12
     (dict(A1_CONFIG, grids={"n": 12.7}), "grids.n"),
+    # a value of the wrong type inside the string or gauge spec
+    (dict(A1_CONFIG, string=dict(PROFILE, gauge=5)), "string.gauge"),
+    (dict(A1_CONFIG, string={"kind": "a_string", "a": None}), "string.a"),
+    (dict(A1_CONFIG, string=dict(PROFILE, L=None)), "string.L"),
+    (dict(A1_CONFIG, string={"kind": "cantor", "depth": None}), "string.depth"),
+    (dict(A1_CONFIG, string={"kind": "interval", "length": None}), "string.length"),
+    (dict(A1_CONFIG, gauge=dict(A1_CONFIG["gauge"], rho=None)), "gauge.rho"),
+    (dict(A1_CONFIG, gauge=dict(A1_CONFIG["gauge"], log_exponents=None)),
+     "gauge.log_exponents"),
+    (dict(A1_CONFIG, gauge=dict(A1_CONFIG["gauge"], log_exponents=5)),
+     "gauge.log_exponents"),
+    (dict(A1_CONFIG, string=dict(PROFILE, gauge=dict(A1_CONFIG["gauge"], rho=None))),
+     "string.gauge.rho"),
+    # no coercion: not through float() or int(), and null is not the default
+    (dict(A1_CONFIG, gauge=dict(A1_CONFIG["gauge"], rho="0.5")), "gauge.rho"),
+    (dict(A1_CONFIG, string={"kind": "a_string", "a": "1.0"}), "string.a"),
+    (dict(A1_CONFIG, string=dict(PROFILE, L=True)), "string.L"),
+    (dict(A1_CONFIG, string={"kind": "cantor", "depth": 12.7}), "string.depth"),
+    (dict(A1_CONFIG, string=dict(PROFILE, truncate=12.7)), "string.truncate"),
+    (dict(A1_CONFIG, gauge=dict(A1_CONFIG["gauge"], domain_upper=None)),
+     "gauge.domain_upper"),
+    # a missing required key is named by its path
+    (dict(A1_CONFIG, string={"kind": "a_string"}), "string.a is required"),
+    ({key: A1_CONFIG[key] for key in ("gauge", "D")}, "string is required"),
+    # a band is a finite number in (0, 1)
+    (dict(A1_CONFIG, band=math.nan), "band"),
+    (dict(A1_CONFIG, band=-1.0), "band"),
+    # 3.0 ** -679 underflows to 0: refused before any block is built
+    (dict(A1_CONFIG, string={"kind": "cantor", "depth": 679}), "depth"),
 ], ids=["D-null", "band-null", "list", "string-str", "gauge-int", "grids-list",
-        "fractional-count"])
+        "fractional-count", "string.gauge-int", "string.a-null", "string.L-null",
+        "string.depth-null", "string.length-null", "gauge.rho-null",
+        "gauge.log_exponents-null", "gauge.log_exponents-int",
+        "string.gauge.rho-null", "gauge.rho-str", "string.a-str", "string.L-bool",
+        "string.depth-fractional", "string.truncate-fractional",
+        "gauge.domain_upper-null", "string.a-missing", "string-missing",
+        "band-nan", "band-negative", "cantor-depth-679"])
 def test_cli_verify_rejects_a_config_value_of_the_wrong_type(tmp_path, capsys,
                                                             payload, key):
     with pytest.raises(SystemExit) as exc:
@@ -268,6 +304,25 @@ def test_cli_zeta(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["zeta_D"] == pytest.approx(-1.4603545088, abs=1e-9)
     assert out["identity_residual"] < 1e-12
+
+
+def test_cli_string_names_the_key_of_a_bare_spec_without_a_prefix(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["string", _write_config(tmp_path, {"kind": "a_string", "a": None})])
+    assert exc.value.code == 2
+    assert (json.loads(capsys.readouterr().err)["error"]
+            == "a must be a finite number, not None")
+
+
+@pytest.mark.parametrize("L", ["-1", "0", "nan", "inf"])
+def test_cli_zeta_rejects_an_L_that_is_not_positive_and_finite(capsys, monkeypatch, L):
+    # the check comes before any constant is computed
+    for name in ("w_k", "zeta"):
+        monkeypatch.setattr(cli, name, None)
+    with pytest.raises(SystemExit) as exc:
+        main(["zeta", "--D", "0.5", "--L", L])
+    assert exc.value.code == 2
+    assert "L must be" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_cli_string_inspection(tmp_path, capsys):

@@ -435,6 +435,14 @@ def test_string_json_rejects_unknown_kind():
         string_from_json({"kind": "penrose"})
 
 
+def test_make_cantor_checks_depth_before_building_a_block():
+    # 3.0 ** -679 underflows to 0; a depth below 1 has no block
+    assert make_cantor(678).length(2 ** 677) == 5e-324
+    for depth in (0, 679):
+        with pytest.raises(ConstructionError, match="depth"):
+            make_cantor(depth)
+
+
 def _exact_ints(values):
     return all(type(v) is int for v in values)
 
