@@ -25,19 +25,6 @@ _NEWTON_ITERATIONS = 40
 _U_FLOOR = math.log(5e-324)
 
 
-def _iterated_logs(L1, depth: int):
-    """Return [L_1, ..., L_depth] with L_{i+1} = ln(L_i), from L_1 = ln(1/y).
-
-    Callers pass L_1 as -ln(y): 1/y overflows for subnormal y.
-    """
-    logs = []
-    cur = np.asarray(L1, dtype=float)
-    for _ in range(depth):
-        logs.append(cur)
-        cur = np.log(cur)
-    return logs
-
-
 def _shaped(values: np.ndarray, shape: tuple):
     """values in the argument's shape, or a Python scalar for a scalar."""
     return values.reshape(shape) if shape else values.item()
@@ -55,62 +42,68 @@ class GaugeFunction:
     def __post_init__(self):
         if not (self.domain_upper > 0):
             raise ConstructionError("domain_upper must be positive")
-        if self.log_exponents:
-            # innermost iterated log must be positive on the whole domain
-            with np.errstate(divide="ignore", invalid="ignore"):
-                logs = _iterated_logs(-np.log(self.domain_upper), len(self.log_exponents))
-            if not np.all(np.isfinite(logs[-1])) or logs[-1] <= 0:
-                raise ConstructionError(
-                    "domain_upper too large for %d iterated logs" % len(self.log_exponents)
-                )
+        # innermost iterated log must be positive on the domain: ln ℓ finite
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ln_l = self.slowly_varying(-np.log(self.domain_upper))[0]
+        if not np.isfinite(ln_l):
+            raise ConstructionError(
+                "domain_upper too large for %d iterated logs" % len(self.log_exponents))
 
     @property
     def is_pure_power(self) -> bool:
         return not self.log_exponents
 
+    def slowly_varying(self, u):
+        """(ln ℓ, E_ℓ) at u = ln(1/y), in u's shape, for the slowly
+        varying factor ℓ = prod_i L_i**alpha_i of h(y) = y**rho ℓ(y), with
+        L_1 = u, L_{i+1} = ln L_i (one np.log per level): ln ℓ = sum_i
+        alpha_i ln L_i and E_ℓ = y ℓ'/ℓ = -sum_i alpha_i / (L_1 ... L_i),
+        both 0 for a pure power.  Pass u as -ln(y): 1/y overflows for
+        subnormal y."""
+        L = np.asarray(u, dtype=float)
+        ln_l, ela = np.zeros(L.shape), np.zeros(L.shape)
+        prod = 1.0
+        for alpha in self.log_exponents:
+            ln_L = np.log(L)
+            ln_l = ln_l + alpha * ln_L
+            prod = prod * L
+            ela = ela - alpha / prod
+            L = ln_L
+        return _shaped(ln_l, L.shape), _shaped(ela, L.shape)
+
     # -- evaluation ---------------------------------------------------------
 
-    def _check_domain(self, y):
+    def _domain(self, y) -> np.ndarray:
+        """y as a float array; DomainError outside (0, domain_upper]."""
         arr = np.asarray(y, dtype=float)
         if np.any(arr <= 0.0) or np.any(arr > self.domain_upper * (1 + 1e-15)):
             raise DomainError("y must lie in (0, %g]" % self.domain_upper)
+        return arr
 
-    def h(self, y):
-        """Evaluate h(y).  Accepts scalars or numpy arrays."""
-        self._check_domain(y)
-        arr = np.asarray(y, dtype=float)
-        out = arr ** self.index
-        if self.log_exponents:
-            for alpha, L in zip(self.log_exponents, _iterated_logs(-np.log(arr), len(self.log_exponents))):
-                out = out * L ** alpha
+    def _h(self, arr: np.ndarray, ln_l) -> np.ndarray:
+        out = arr ** self.index * np.exp(ln_l)
         if np.any(~np.isfinite(out)) or np.any(out <= 0.0):
             raise EvaluationError("h evaluated non-positive or non-finite")
-        return _shaped(out, arr.shape)
+        return out
+
+    def h(self, y):
+        """Evaluate h(y) = y**rho ℓ(y).  Accepts scalars or numpy arrays."""
+        arr = self._domain(y)
+        return _shaped(self._h(arr, self.slowly_varying(-np.log(arr))[0]), arr.shape)
 
     def dh(self, y):
-        """Evaluate h'(y) = h(y)/y * E_h(y)."""
-        self._check_domain(y)
-        arr = np.asarray(y, dtype=float)
-        out = self.h(arr) / arr * self._elasticity(arr)
+        """Evaluate h'(y) = h(y)/y * E_h(y), from one slowly_varying pass."""
+        arr = self._domain(y)
+        ln_l, ela = self.slowly_varying(-np.log(arr))
+        out = self._h(arr, ln_l) / arr * (self.index + ela)
         if np.any(~np.isfinite(out)):
             raise EvaluationError("h' evaluated non-finite")
         return _shaped(out, arr.shape)
 
-    def _elasticity(self, arr):
-        ela = np.full_like(np.asarray(arr, dtype=float), self.index)
-        if self.log_exponents:
-            logs = _iterated_logs(-np.log(arr), len(self.log_exponents))
-            prod = np.ones_like(ela)
-            for alpha, L in zip(self.log_exponents, logs):
-                prod = prod * L
-                ela = ela - alpha / prod
-        return ela
-
     def elasticity(self, y):
-        """E_h(y) = y h'(y)/h(y); tends to the variation index as y -> 0."""
-        self._check_domain(y)
-        arr = np.asarray(y, dtype=float)
-        return _shaped(self._elasticity(arr), arr.shape)
+        """E_h(y) = y h'(y)/h(y) = rho + E_ℓ; tends to rho as y -> 0."""
+        arr = self._domain(y)
+        return self.index + self.slowly_varying(-np.log(arr))[1]
 
 
 def power_log(rho: float, log_exponents: Sequence[float] = (), domain_upper: Optional[float] = None) -> GaugeFunction:
@@ -126,15 +119,9 @@ def power_log(rho: float, log_exponents: Sequence[float] = (), domain_upper: Opt
 
 def _ln_H(gauge: GaugeFunction, D: float, u):
     """ln H and its slope d ln H/du = 1 - E_h at u = ln y, from one
-    _iterated_logs call: ln H = D u - sum_i alpha_i ln L_i."""
-    ln_H = D * u
-    slope = np.full_like(u, D)
-    prod = 1.0
-    for alpha, L in zip(gauge.log_exponents, _iterated_logs(-u, len(gauge.log_exponents))):
-        ln_H = ln_H - alpha * np.log(L)
-        prod = prod * L
-        slope = slope + alpha / prod
-    return ln_H, slope
+    slowly_varying pass: (D u - ln ℓ, D - E_ℓ) at ln(1/y) = -u."""
+    ln_l, ela = gauge.slowly_varying(-u)
+    return D * u - ln_l, D - ela
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ path.  A number is a finite JSON int or float, never a bool or a string."""
 
 import sys
 
+from .errors import ConstructionError
+
 REQUIRED = object()
 _MAX = sys.float_info.max
 
@@ -66,11 +68,19 @@ def read(spec, rows: dict, path: str = "", name: str = "config") -> dict:
 
 def read_kind(spec, tag: str, kinds: dict, path: str, name: str):
     """What the constructor of kinds[spec[tag]], a (rows, constructor)
-    pair, makes from the values of its rows."""
+    pair, makes from the values of its rows.  A ValueError or
+    ConstructionError of the constructor is raised again, of its type, with
+    the spec's path in front."""
     kind = json_object(spec, path or name).get(tag)
     if not (isinstance(kind, str) and kind in kinds):
         raise ValueError("%s must be one of %s, not %r" % (
             (path and path + ".") + tag, ", ".join(sorted(kinds)), kind))
     rows, make = kinds[kind]
     rest = {key: value for key, value in spec.items() if key != tag}
-    return make(**read(rest, rows, path, "%s %s" % (kind, name)))
+    values = read(rest, rows, path, "%s %s" % (kind, name))
+    try:
+        return make(**values)
+    except (ValueError, ConstructionError) as exc:
+        if not path:
+            raise
+        raise type(exc)("%s: %s" % (path, exc)) from exc

@@ -20,8 +20,8 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConstructionError, NumericError
-from .gauge import (DerivedFunctions, GaugeFunction, _iterated_logs, _shaped,
-                    gauge_from_json, make_derived)
+from .gauge import (DerivedFunctions, GaugeFunction, _shaped, gauge_from_json,
+                    make_derived)
 from .spec import REQUIRED, count, number, numbers, read_kind
 
 
@@ -158,19 +158,16 @@ def _gauge_side_integral(gauge: GaugeFunction, Y: np.ndarray) -> np.ndarray:
 
     This is int_M^inf g(t) dt for Y = g(M), by parts with t = h(y)/y
     (Bingham-Goldie-Teugels, Regular Variation, 1.5-1.6).  With
-    y = Y e^(-s/rho), u = ln(1/Y) and phi = prod_i L_i^alpha_i it equals
-    h(Y) (1 - rho + int_0^inf e^-s (phi(u + s/rho)/phi(u) - 1) ds) / rho,
+    y = Y e^(-s/rho), u = ln(1/Y) and h(y) = y**rho ℓ(ln(1/y)) it equals
+    h(Y) (1 - rho + int_0^inf e^-s (ℓ(u + s/rho)/ℓ(u) - 1) ds) / rho,
     which never forms y below Y; a pure power needs no quadrature.  The
     integrand of a row is summed on its own, so a row's value does not
     depend on the other Y.
     """
     rho = gauge.index
     u = -np.log(Y)
-    depth = len(gauge.log_exponents)
-    log_ratio = np.zeros((u.size, _EXP_NODES.size))
-    for alpha, L_Y, L_s in zip(gauge.log_exponents, _iterated_logs(u, depth),
-                               _iterated_logs(u[:, None] + _EXP_NODES / rho, depth)):
-        log_ratio += alpha * np.log(L_s / L_Y[:, None])
+    log_ratio = (gauge.slowly_varying(u[:, None] + _EXP_NODES / rho)[0]
+                 - gauge.slowly_varying(u)[0][:, None])
     excess = np.sum(np.expm1(log_ratio) * _EXP_WEIGHTS, axis=1)
     return gauge.h(Y) * (1.0 - rho + excess) / rho
 

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import re
 import types
@@ -50,3 +51,25 @@ def test_readme_spec_table_lists_exactly_the_readers_kinds_and_keys():
         else:
             assert kind == names.get(row_kind, "%s spec" % key), (payload, key)
         assert default.startswith("required") == (row_default is spec.REQUIRED)
+
+
+# the private names a module may import from a sibling, (from, into, name): why
+_PRIVATE_IMPORTS = {
+    ("gauge", "strings", "_shaped"): "one array-shape contract for every method",
+    ("strings", "spectral", "_gallop"): "the hyperbola kernel gallops to c_k as J does",
+    ("strings", "karamata", "_em_tail_sum"): "one Euler-Maclaurin tail",
+    ("strings", "karamata", "_panel_integral"): "one Gauss-Legendre integrator",
+    ("spectral", "cli", "_positive"): "zeta's --L takes the check of lambda",
+}
+
+
+def test_private_imports_between_modules_are_exactly_the_allowlist():
+    # the power-log factor, among others, stays inside gauge
+    package = Path(fractal_strings.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found.update((node.module, path.stem, alias.name) for alias in node.names
+                             if alias.name.startswith("_"))
+    assert found == set(_PRIVATE_IMPORTS)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -106,20 +107,20 @@ _NEWTON_GAUGES = [
 @pytest.mark.parametrize("D, alphas, upper", _NEWTON_GAUGES)
 def test_h_inv_newton_settles_in_few_iterations(monkeypatch, D, alphas, upper):
     # Newton runs in u = ln y, which reaches down to ln(5e-324); one
-    # _iterated_logs call per iteration.  A stop on an absolute step below
+    # slowly_varying call per iteration.  A stop on an absolute step below
     # one ulp of u runs to the iteration cap, and so does a relative stop
     # at 4e-16 |u| alone where the step flips between neighbouring floats
     # (z = 1.2705049e-9 on the [0.5, 1.5, 1] gauge).
     d = make_derived(power_log(1.0 - D, alphas, domain_upper=upper), D)
     zs = np.append(np.geomspace(1.000001 * d.H(5e-324), d.H_y1, 400), 1.2705049e-9)
     calls = []
-    logs = gauge_module._iterated_logs
+    factor = gauge_module.GaugeFunction.slowly_varying
 
-    def counted(y, depth):
+    def counted(gauge, u):
         calls.append(1)
-        return logs(y, depth)
+        return factor(gauge, u)
 
-    monkeypatch.setattr(gauge_module, "_iterated_logs", counted)
+    monkeypatch.setattr(gauge_module.GaugeFunction, "slowly_varying", counted)
     for z in zs:
         calls.clear()
         y = d.H_inv(float(z))
@@ -128,6 +129,55 @@ def test_h_inv_newton_settles_in_few_iterations(monkeypatch, D, alphas, upper):
     calls.clear()
     d.H_inv(zs)
     assert len(calls) <= 8
+
+
+@pytest.mark.parametrize("D, alphas, upper", _NEWTON_GAUGES)
+def test_slowly_varying_factor_against_mpmath(D, alphas, upper):
+    # u from the domain top ln(1/upper) down to the subnormal floor 744.4.
+    # u is exact, and each np.log and product rounds by about eps, but the
+    # relative error of L_i grows by 1/L_(i+1) at the next level (L_3 is
+    # 0.093 at the top of the depth-3 gauges).  So ln ℓ is within about
+    # eps sum_i |alpha_i| (|ln L_i| + sum_(k<=i) 1/L_k) and E_ℓ within
+    # eps sum_i |alpha_i| / (L_1 ... L_i) (i + sum_(k<=i) 1/L_k); the test
+    # allows 4 times that.  No relative bound: ln ℓ of [0.5, 1.5, 1] falls
+    # to 0.013 and E_ℓ of [1, -2] changes sign at u = e^2.
+    gauge = power_log(1.0 - D, alphas, domain_upper=upper)
+    us = np.geomspace(-math.log(upper), 744.4, 301)
+    ln_l, ela = gauge.slowly_varying(us)
+    eps = np.finfo(float).eps
+    for u, got_ln_l, got_ela in zip(us.tolist(), ln_l.tolist(), ela.tolist()):
+        with mpmath.workdps(30):
+            L, prod, want_ln_l, want_ela = mpmath.mpf(u), mpmath.mpf(1), 0, 0
+            scale_ln_l, scale_ela, inverses = 0.0, 0.0, 0.0
+            for i, alpha in enumerate(alphas, start=1):
+                ln_L = mpmath.log(L)
+                prod *= L
+                want_ln_l += alpha * ln_L
+                want_ela -= alpha / prod
+                inverses += float(1 / L)
+                scale_ln_l += abs(alpha) * (abs(float(ln_L)) + inverses)
+                scale_ela += abs(alpha / float(prod)) * (i + inverses)
+                L = ln_L
+            want_ln_l, want_ela = float(want_ln_l), float(want_ela)
+        assert abs(got_ln_l - want_ln_l) <= 4 * eps * scale_ln_l, u
+        assert abs(got_ela - want_ela) <= 4 * eps * scale_ela, u
+    # h, E_h and Newton's ln H are built from the factor by the same float
+    # operations, so they agree exactly
+    ys = np.exp(-us)
+    ln_l_y, ela_y = gauge.slowly_varying(-np.log(ys))
+    assert gauge.h(ys).tolist() == (ys ** gauge.index * np.exp(ln_l_y)).tolist()
+    assert gauge.elasticity(ys).tolist() == (gauge.index + ela_y).tolist()
+    ln_H, slope = gauge_module._ln_H(gauge, D, -us)
+    assert ln_H.tolist() == (D * -us - ln_l).tolist()
+    assert slope.tolist() == (D - ela).tolist()
+
+
+def test_slowly_varying_factor_of_a_pure_power_is_zero():
+    ln_l, ela = power_log(0.5).slowly_varying(np.array([0.0, 1.0, 744.4]))
+    assert ln_l.tolist() == ela.tolist() == [0.0, 0.0, 0.0]
+    # a scalar u gives Python floats, as every gauge method does
+    assert power_log(0.5).slowly_varying(2.0) == (0.0, 0.0)
+    assert type(power_log(0.5, [1.0]).slowly_varying(2.0)[0]) is float
 
 
 @pytest.mark.parametrize("D, alphas, upper", _NEWTON_GAUGES)

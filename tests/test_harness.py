@@ -83,7 +83,18 @@ def test_config_rejects_unknown_keys():
     (dict(A1_CONFIG, band=math.nan), "band"),
     (dict(A1_CONFIG, band=-1.0), "band"),
     # 3.0 ** -679 underflows to 0: refused before any block is built
-    (dict(A1_CONFIG, string={"kind": "cantor", "depth": 679}), "depth"),
+    (dict(A1_CONFIG, string={"kind": "cantor", "depth": 679}),
+     "string: depth must lie in 1 .. 678"),
+    # a value out of its constructor's range is named by the spec's path
+    (dict(A1_CONFIG, string={"kind": "a_string", "a": -1}), "string: a must be positive"),
+    (dict(A1_CONFIG, string=dict(PROFILE, L=-1)), "string: L must be positive"),
+    (dict(A1_CONFIG, string=dict(PROFILE, truncate=0)), "string: n must be >= 1"),
+    (dict(A1_CONFIG, string={"kind": "interval", "length": -1}),
+     "string: lengths must be positive"),
+    (dict(A1_CONFIG, gauge=dict(A1_CONFIG["gauge"], domain_upper=-1)),
+     "gauge: domain_upper must be positive"),
+    (dict(A1_CONFIG, string=dict(PROFILE, gauge=dict(A1_CONFIG["gauge"], domain_upper=-1))),
+     "string.gauge: domain_upper must be positive"),
 ], ids=["D-null", "band-null", "list", "string-str", "gauge-int", "grids-list",
         "fractional-count", "string.gauge-int", "string.a-null", "string.L-null",
         "string.depth-null", "string.length-null", "gauge.rho-null",
@@ -91,7 +102,9 @@ def test_config_rejects_unknown_keys():
         "string.gauge.rho-null", "gauge.rho-str", "string.a-str", "string.L-bool",
         "string.depth-fractional", "string.truncate-fractional",
         "gauge.domain_upper-null", "string.a-missing", "string-missing",
-        "band-nan", "band-negative", "cantor-depth-679"])
+        "band-nan", "band-negative", "cantor-depth-679", "string.a-negative",
+        "string.L-negative", "string.truncate-0", "string.length-negative",
+        "gauge.domain_upper-negative", "string.gauge.domain_upper-negative"])
 def test_cli_verify_rejects_a_config_value_of_the_wrong_type(tmp_path, capsys,
                                                             payload, key):
     with pytest.raises(SystemExit) as exc:
