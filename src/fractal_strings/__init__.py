@@ -13,9 +13,8 @@ from .harness import (ExperimentConfig, VerificationReport, bundled_examples,
 from .karamata import (RepresentationDecomposition, extract_representation,
                        karamata_direct, rv_defect, tail_sum_rv)
 from .spectral import (SpectralRecord, ZetaContext, eigen_count, eta,
-                       packing_defect, records_to_csv,
-                       remainder_identity_check, second_term_probe,
-                       spectral_point, w_k, weyl_term, zeta, zeta_from_wk)
+                       packing_defect, records_to_csv, second_term_probe,
+                       spectral_points, w_k, weyl_term, zeta, zeta_from_wk)
 from .strings import (AnalyticString, ExplicitString, FractalString,
                       RunLengthString, make_a_string, make_cantor,
                       make_interval, make_profile, string_from_json)
@@ -32,7 +31,7 @@ __all__ = [
     "eigen_count", "eta", "extract_representation", "gauge_from_json",
     "gauge_to_json", "karamata_direct", "make_a_string", "make_cantor",
     "make_derived", "make_interval", "make_profile", "packing_defect",
-    "power_log", "records_to_csv", "remainder_identity_check", "run_verify",
-    "rv_defect", "second_term_probe", "spectral_point", "string_from_json",
+    "power_log", "records_to_csv", "run_verify", "rv_defect",
+    "second_term_probe", "spectral_points", "string_from_json",
     "tail_sum_rv", "tube_volume", "w_k", "weyl_term", "zeta", "zeta_from_wk",
 ]

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage or malformed input, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -122,6 +123,7 @@ def cmd_string(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="fstring",
                                 description="fractal string numerics")
@@ -151,9 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

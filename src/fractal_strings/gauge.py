@@ -76,13 +76,13 @@ class GaugeFunction:
     def _domain(self, y) -> np.ndarray:
         """y as a float array; DomainError outside (0, domain_upper]."""
         arr = np.asarray(y, dtype=float)
-        if np.any(arr <= 0.0) or np.any(arr > self.domain_upper * (1 + 1e-15)):
+        if ((arr <= 0.0) | (arr > self.domain_upper * (1 + 1e-15))).any():
             raise DomainError("y must lie in (0, %g]" % self.domain_upper)
         return arr
 
     def _h(self, arr: np.ndarray, ln_l) -> np.ndarray:
         out = arr ** self.index * np.exp(ln_l)
-        if np.any(~np.isfinite(out)) or np.any(out <= 0.0):
+        if not (np.isfinite(out) & (out > 0.0)).all():
             raise EvaluationError("h evaluated non-positive or non-finite")
         return out
 

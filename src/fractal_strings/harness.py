@@ -10,7 +10,7 @@ proves a limit; it reports per-assertion evidence and consistency flags.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -19,7 +19,7 @@ from .gauge import gauge_from_json, gauge_to_json, make_derived, power_log
 from .geometry import (DEFAULT_BAND, ScaleGrid, cantor_grid, classify_ratio,
                        content_estimates, trailing_third)
 from .spec import REQUIRED, count, json_object, number, read
-from .spectral import ZetaContext, second_term_probe
+from .spectral import ZetaContext, _lambdas, second_term_probe
 from .strings import string_from_json
 
 _COMPAT_CONTENT = ("measurable", "nondegenerate")
@@ -52,18 +52,27 @@ class ExperimentConfig:
     band: float = DEFAULT_BAND
 
     def __post_init__(self):
-        values = read(dict(zip(_CONFIG, (self.string_spec, self.gauge_spec, self.D,
-                                         self.grids, self.band))), _CONFIG)
+        self._settle(read(dict(zip(_CONFIG, (self.string_spec, self.gauge_spec, self.D,
+                                             self.grids, self.band))), _CONFIG))
+
+    def _settle(self, values: dict) -> "ExperimentConfig":
+        """Set the fields to read values; check the band, then the grids."""
         if not 0.0 < values["band"] < 1.0:
             raise ValueError("band must lie in (0, 1), not %r" % values["band"])
-        for key in ("D", "grids", "band"):
-            object.__setattr__(self, key, values[key])
+        for f, value in zip(fields(self), values.values()):
+            object.__setattr__(self, f.name, value)
+        try:
+            self.eps_grid()
+            _lambdas(self.lam_grid())
+        except ValueError as exc:
+            raise ValueError("grids: %s" % exc) from exc
+        return self
 
     @classmethod
     def from_json(cls, spec) -> "ExperimentConfig":
         """Read a config payload; ValueError names the path of a key that
-        is unknown, missing or of the wrong type."""
-        return cls(*read(spec, _CONFIG).values())
+        is unknown, missing or of the wrong type, or of a grid fault."""
+        return object.__new__(cls)._settle(read(spec, _CONFIG))
 
     def build(self):
         """(gauge, its derived functions at D, string) of this config."""

@@ -48,21 +48,21 @@ def _unknown(spec: dict, rows: dict, prefix: str) -> list:
 
 def read(spec, rows: dict, path: str = "", name: str = "config") -> dict:
     """Each row's value: the key's value read by its type, or the default
-    of a key left out.  ValueError names every unknown key, or else the
-    first key that is missing though required, or of the wrong type."""
+    of a key left out, a nested spec's default read by its rows.  ValueError
+    names every unknown key, or else the first key that is missing though
+    required, or of the wrong type."""
     prefix = path + "." if path else ""
     unknown = _unknown(json_object(spec, path or name), rows, prefix)
     if unknown:
         raise ValueError("unknown %s key(s): %s" % (name, ", ".join(unknown)))
     values = {}
     for key, (kind, default) in rows.items():
-        if key in spec:
-            values[key] = (read(spec[key], kind, prefix + key, name)
-                           if isinstance(kind, dict) else kind(spec[key], prefix + key))
-        elif default is REQUIRED:
+        if key not in spec and default is REQUIRED:
             raise ValueError("%s%s is required" % (prefix, key))
+        if isinstance(kind, dict):
+            values[key] = read(spec.get(key, default), kind, prefix + key, name)
         else:
-            values[key] = default
+            values[key] = kind(spec[key], prefix + key) if key in spec else default
     return values
 
 

@@ -29,7 +29,9 @@ fewer than the head's.  The c_k are exact (see ``_counts_reaching``), so N
 is the same int; delta is formed apart from N, so phi - N = delta stays a
 check.  Explicit and run-length strings keep the direct kernel: their head
 is a slice of lengths already in memory, and it is the hyperbola kernel's
-oracle in the tests.
+oracle in the tests.  Lengths never increase, so over a lambda grid each head
+is a prefix of the longest: ``spectral_points`` reads the grid with one
+``J``, one ``length`` and one ``tail_sum_beyond_index`` call.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -67,6 +69,7 @@ _LIMB = 2.0 ** 27
 _SLICE = 1 << 26
 # an analytic head longer than this takes the hyperbola kernel
 _DIRECT_MAX = 2 ** 15
+_BELOW = 1.0 - 2.0 ** -50  # a head holds the lengths above (1/x) * _BELOW
 
 
 def _products(vals: np.ndarray, x: float):
@@ -176,23 +179,23 @@ def _hyperbola(string: AnalyticString, x: float, head: int, fractions: bool):
     return n + s, math.fsum((fracs, -s)) if fractions else None, j1
 
 
-def _head(string: FractalString, x: float, fractions: bool = True):
-    """(N, head part of delta(x), j), with delta(x) = head part
-    + x * tail_sum_beyond_index(j); without fractions only N is formed.
+def _heads(string: FractalString, xs: List[float], fractions: bool = True):
+    """[(N, head part of delta(x), j)] for each x in xs, delta(x) = head
+    part + x * tail_sum_beyond_index(j); without fractions only N is formed.
 
     The head holds the lengths above eps, just below 1/x: every length
     whose exact product with x reaches 1.  A length left out has
-    floor(l_j x) = 0 and {l_j x} = l_j x.  A stored head is one
-    runs_above slice; an analytic head of up to _DIRECT_MAX lengths takes
-    one J and one length call, and a longer one the hyperbola kernel.
+    floor(l_j x) = 0 and {l_j x} = l_j x.  A stored head is one runs_above
+    slice; analytic heads of up to _DIRECT_MAX lengths are prefixes of one
+    length call after one J call, and a longer one takes the hyperbola kernel.
     """
-    eps = (1.0 / x) * (1.0 - 2.0 ** -50)
     if not isinstance(string, AnalyticString):
-        return _direct(*string.runs_above(eps), x, fractions)
-    j = string.J(eps)
-    if j > _DIRECT_MAX:
-        return _hyperbola(string, x, j, fractions)
-    return _direct(string.length(np.arange(1.0, j + 1.0)), None, x, fractions)
+        return [_direct(*string.runs_above((1.0 / x) * _BELOW), x, fractions) for x in xs]
+    js = string.J([(1.0 / x) * _BELOW for x in xs]).tolist()
+    top = max([j for j in js if j <= _DIRECT_MAX], default=0)
+    lengths = string.length(np.arange(1.0, top + 1.0))
+    return [_hyperbola(string, x, j, fractions) if j > _DIRECT_MAX
+            else _direct(lengths[:j], None, x, fractions) for x, j in zip(xs, js)]
 
 
 def _positive(value: float, name: str) -> None:
@@ -203,7 +206,7 @@ def _positive(value: float, name: str) -> None:
 def eigen_count(string: FractalString, lam: float) -> int:
     """N(lambda) = sum_j floor(l_j sqrt(lambda)/pi), as an exact int."""
     _positive(lam, "lambda")
-    return _head(string, math.sqrt(lam) / math.pi, fractions=False)[0]
+    return _heads(string, [math.sqrt(lam) / math.pi], fractions=False)[0][0]
 
 
 def weyl_term(string: FractalString, lam: float) -> float:
@@ -216,25 +219,22 @@ def packing_defect(string: FractalString, x: float) -> float:
     """delta(x) = sum_j {l_j x}: the head part and an exact tail
     x * sum_{j > j_head} l_j."""
     _positive(x, "x")
-    _, head, j = _head(string, x)
+    (_, head, j), = _heads(string, [x])
     return head + x * string.tail_sum_beyond_index(j)
 
 
-def spectral_point(string: FractalString, lam: float) -> Tuple[int, float, float]:
-    """(N(lambda), phi(lambda), delta(sqrt(lambda)/pi)) from one head."""
-    phi = weyl_term(string, lam)
-    x = math.sqrt(lam) / math.pi
-    n, head, j = _head(string, x)
-    return n, phi, head + x * string.tail_sum_beyond_index(j)
-
-
-def remainder_identity_check(string: FractalString, lam_set: Iterable[float]) -> float:
-    """max over lambda of |(phi - N) - delta(sqrt(lambda)/pi)|."""
-    worst = 0.0
-    for lam in lam_set:
-        n, phi, delta = spectral_point(string, lam)
-        worst = max(worst, abs((phi - n) - delta))
-    return worst
+def spectral_points(string: FractalString,
+                    lams: Sequence[float]) -> List[Tuple[int, float, float]]:
+    """(N(lambda), phi(lambda), delta(sqrt(lambda)/pi)) for each lambda, in
+    order, from one head read and one tail call."""
+    for lam in lams:
+        _positive(lam, "lambda")
+    xs = [math.sqrt(lam) / math.pi for lam in lams]
+    heads = _heads(string, xs)
+    tails = string.tail_sum_beyond_index([j for _, _, j in heads]).tolist()
+    total = string.total_length()
+    return [(n, total * math.sqrt(lam) / math.pi, head + x * tail)
+            for lam, x, (n, head, _), tail in zip(lams, xs, heads, tails)]
 
 
 # -- zeta on the critical segment ------------------------------------------
@@ -341,25 +341,29 @@ class SpectralRecord:
                 "delta_ratio": self.delta_ratio}
 
 
+def _lambdas(lam_grid: Sequence[float]) -> np.ndarray:
+    """The lambda grid, sorted; ValueError unless non-negative and finite."""
+    lams = np.sort(np.asarray(lam_grid, dtype=float))
+    if not np.all((lams >= 0.0) & (lams < math.inf)):
+        raise ValueError("lambda must be a non-negative finite number")
+    return lams
+
+
 def second_term_probe(string: FractalString, derived: DerivedFunctions,
                       lam_grid: Sequence[float]) -> List[SpectralRecord]:
     """Per-lambda remainder and packing-defect ratios against f, by
     increasing lambda, leaving out each lambda where f(sqrt(lambda)/pi) is
     undefined; f takes one call per grid."""
-    lams = np.sort(np.asarray(lam_grid, dtype=float))
-    if not np.all((lams >= 0.0) & (lams < math.inf)):
-        raise ValueError("lambda must be a non-negative finite number")
+    lams = _lambdas(lam_grid)
     sq = np.sqrt(lams)
     keep = sq / math.pi >= derived.valid_from
     lams, sq = lams[keep], sq[keep]
     f_sq, f_x = derived.f(sq), derived.f(sq / math.pi)
-    records = []
-    for lam, fs, fx in zip(lams.tolist(), f_sq.tolist(), f_x.tolist()):
-        n, phi, delta = spectral_point(string, lam)
-        records.append(SpectralRecord(
-            lam=lam, N=n, phi=phi, delta_at=delta, f_norm=fs,
-            remainder_ratio=(phi - n) / fs, delta_ratio=delta / fx))
-    return records
+    lams = lams.tolist()
+    return [SpectralRecord(lam=lam, N=n, phi=phi, delta_at=delta, f_norm=fs,
+                           remainder_ratio=(phi - n) / fs, delta_ratio=delta / fx)
+            for lam, (n, phi, delta), fs, fx in zip(
+                lams, spectral_points(string, lams), f_sq.tolist(), f_x.tolist())]
 
 
 def records_to_csv(records: Sequence[SpectralRecord]) -> str:

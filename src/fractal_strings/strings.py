@@ -322,8 +322,8 @@ class AnalyticString(FractalString):
     array of eps the tests are numpy masks over the whole array, and only
     the starts that fail them gallop outward to a bracket, each in
     O(log |hint error|) scalar evaluations; with the exact inverse as hint,
-    as for ``make_profile``, that is rare.  One eps takes the same tests on
-    Python floats, at half the cost of the masks on a one-element array.
+    as for ``make_profile``, that is rare.  One eps, alone or in a one-element
+    array, takes the same tests on Python floats, at half the cost of the masks.
 
     Below 2^53, ``J`` is exact: the largest j with l_j > eps.  Past 2^53,
     float(j) merges neighbouring indices and the float profile carries
@@ -350,8 +350,8 @@ class AnalyticString(FractalString):
 
     def J(self, eps):
         e = np.asarray(eps, dtype=float)
-        if not e.shape:
-            return self._J_one(e)
+        if e.size == 1:
+            return _shaped(np.array([self._J_one(e)], dtype=object), e.shape)
         x = e.ravel()
         starts = np.maximum(np.floor(np.asarray(self._inv(x), dtype=float)), 1.0,
                             out=np.empty(x.size))
@@ -375,8 +375,8 @@ class AnalyticString(FractalString):
         return _shaped(out, e.shape)
 
     def _J_one(self, e: np.ndarray) -> int:
-        """J of a 0-d eps array: the tests of J on Python floats."""
-        eps = float(e)
+        """J of a one-element eps array: the tests of J on Python floats."""
+        eps = e.item()
         j = max(1, int(np.asarray(self._inv(e.ravel()), dtype=float).flat[0]))
         s = j >> 43 if j >= _EXACT_INDEX else 1
         index = np.array([1.0, max(1, j - s), j, j + s], dtype=float)

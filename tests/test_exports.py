@@ -60,6 +60,7 @@ _PRIVATE_IMPORTS = {
     ("strings", "karamata", "_em_tail_sum"): "one Euler-Maclaurin tail",
     ("strings", "karamata", "_panel_integral"): "one Gauss-Legendre integrator",
     ("spectral", "cli", "_positive"): "zeta's --L takes the check of lambda",
+    ("spectral", "harness", "_lambdas"): "a config checks its lambda grid as the probe does",
 }
 
 

@@ -4,8 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from fractal_strings import (DomainError, NumericError, gauge_from_json,
-                             gauge_to_json, make_derived, power_log)
+from fractal_strings import (DomainError, EvaluationError, NumericError,
+                             gauge_from_json, gauge_to_json, make_derived,
+                             power_log)
 from fractal_strings import gauge as gauge_module
 from fractal_strings.errors import ConstructionError
 
@@ -32,6 +33,15 @@ def test_h_rejects_out_of_domain():
         g.h(-0.1)
     with pytest.raises(DomainError):
         g.h(np.array([0.5, 0.0]))
+    # a NaN passes the domain check and fails the value check
+    for gauge in (g, power_log(0.5, [1.0])):
+        for y, error in ((0.0, DomainError), (-1.0, DomainError), (1.5, DomainError),
+                         (math.inf, DomainError), (-math.inf, DomainError),
+                         (math.nan, EvaluationError)):
+            for arg in (y, np.array([0.05, y])):
+                with pytest.raises(Exception) as exc:
+                    gauge.h(arg)
+                assert type(exc.value) is error, (gauge, y)
 
 
 def test_log_gauge_needs_small_domain():

@@ -95,6 +95,11 @@ def test_config_rejects_unknown_keys():
      "gauge: domain_upper must be positive"),
     (dict(A1_CONFIG, string=dict(PROFILE, gauge=dict(A1_CONFIG["gauge"], domain_upper=-1))),
      "string.gauge: domain_upper must be positive"),
+    # a grid out of range is named by the grids path, at the config reader
+    (dict(A1_CONFIG, grids={"q": 1.0}), "grids: ratio must be positive and != 1"),
+    (dict(A1_CONFIG, grids={"n": 5}), "grids: a ScaleGrid needs at least 9 scales"),
+    (dict(A1_CONFIG, grids={"lam_factor": 1e300}),
+     "grids: lambda must be a non-negative finite number"),
 ], ids=["D-null", "band-null", "list", "string-str", "gauge-int", "grids-list",
         "fractional-count", "string.gauge-int", "string.a-null", "string.L-null",
         "string.depth-null", "string.length-null", "gauge.rho-null",
@@ -104,7 +109,8 @@ def test_config_rejects_unknown_keys():
         "gauge.domain_upper-null", "string.a-missing", "string-missing",
         "band-nan", "band-negative", "cantor-depth-679", "string.a-negative",
         "string.L-negative", "string.truncate-0", "string.length-negative",
-        "gauge.domain_upper-negative", "string.gauge.domain_upper-negative"])
+        "gauge.domain_upper-negative", "string.gauge.domain_upper-negative",
+        "grids.q-1", "grids.n-5", "grids.lam_factor-overflow"])
 def test_cli_verify_rejects_a_config_value_of_the_wrong_type(tmp_path, capsys,
                                                             payload, key):
     with pytest.raises(SystemExit) as exc:
@@ -395,6 +401,17 @@ def test_cli_exit_code_for_bad_parameter(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["zeta", "--D", "1.5"])
     assert exc.value.code == 2
+
+
+def test_cli_main_calls_in_a_row_keep_their_own_exit_code_and_output(capsys):
+    # one parser serves every call in a process
+    assert main(["verify"]) == 2
+    first = capsys.readouterr()
+    assert first.out == "" and "usage: fstring verify" in first.err
+    assert main(["verify", "a_string_1", "--example"]) == 0
+    second = capsys.readouterr()
+    assert second.err == ""
+    assert json.loads(second.out)["config"] == bundled_examples()["a_string_1"].to_json()
 
 
 def test_cli_exit_code_for_unknown_example(capsys):

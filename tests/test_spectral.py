@@ -10,10 +10,9 @@ from fractal_strings import (AnalyticString, ExplicitString, RunLengthString,
                              ZetaContext, bundled_examples, eigen_count, eta,
                              make_a_string, make_cantor, make_derived,
                              make_interval, make_profile, packing_defect,
-                             power_log, records_to_csv,
-                             remainder_identity_check, second_term_probe,
-                             spectral, spectral_point, w_k, weyl_term, zeta,
-                             zeta_from_wk)
+                             power_log, records_to_csv, second_term_probe,
+                             spectral, spectral_points, strings, w_k,
+                             weyl_term, zeta, zeta_from_wk)
 
 # reference values computed with mpmath at 30 digits
 ZETA_03 = -0.904559257253983990007876151834
@@ -92,10 +91,9 @@ def test_remainder_identity_random_strings(lengths, x):
     assert resid <= 1e-9 * max(1.0, weyl_term(s, lam))
 
 
-def test_remainder_identity_check_runs_over_grid():
-    worst = remainder_identity_check(make_a_string(1.0).truncate(500),
-                                     np.geomspace(10, 1e6, 20))
-    assert worst < 1e-10
+def test_remainder_identity_holds_over_grid():
+    points = spectral_points(make_a_string(1.0).truncate(500), np.geomspace(10, 1e6, 20))
+    assert max(abs((phi - n) - delta) for n, phi, delta in points) < 1e-10
 
 
 def test_zeta_context_evaluates_zeta_once(monkeypatch):
@@ -180,13 +178,18 @@ def _fraction(l, x):
     return e - math.floor(e)
 
 
+def _head(string, x, fractions=True):
+    """The head of one x, from the grid driver."""
+    return spectral._heads(string, [x], fractions)[0]
+
+
 def _direct_head(string, x):
     """The direct kernel over the whole head: the oracle of the hyperbola
     kernel."""
     return spectral._direct(*string.runs_above((1.0 / x) * (1.0 - 2.0 ** -50)), x)
 
 
-def _assert_head_sum_is_fsum_of_fractions(string, x, kernel=spectral._head):
+def _assert_head_sum_is_fsum_of_fractions(string, x, kernel=_head):
     _, head, n = kernel(string, x)
     lengths = string.length(np.arange(1, n + 1)).tolist() if n else []
     assert head == math.fsum(_fraction(l, x) for l in lengths)
@@ -238,9 +241,11 @@ def test_hyperbola_kernel_equals_the_direct_kernel(name):
         xs += [1e10, 1e10 * (1.0 + 2.0 ** -52)]
     else:
         assert (name == "profile_log_D0.5") == (string.length(1) == string.length(9))
+    xs.append(x_top)
     heads = 0
-    for x in xs + [x_top]:
-        n, head, j = spectral._head(string, x)
+    # the whole grid from one driver call, with and without fractions
+    for x, (n, head, j), (count, _, _) in zip(xs, spectral._heads(string, xs),
+                                              spectral._heads(string, xs, fractions=False)):
         n_direct, head_direct, j_direct = _direct_head(string, x)
         if j_direct <= spectral._DIRECT_MAX:
             continue
@@ -250,7 +255,7 @@ def test_hyperbola_kernel_equals_the_direct_kernel(name):
         delta = head + x * string.tail_sum_beyond_index(j)
         delta_direct = head_direct + x * string.tail_sum_beyond_index(j_direct)
         assert delta == pytest.approx(delta_direct, rel=1e-12, abs=0.0), (name, x)
-        assert spectral._head(string, x, fractions=False)[0] == n
+        assert count == n
     assert heads >= 3
 
 
@@ -271,7 +276,7 @@ def test_counts_reaching_k_are_exact_at_ties(x):
         assert c == 0 or Fraction(string.length(c)) * Fraction(x) >= kk
         assert Fraction(string.length(c + 1)) * Fraction(x) < kk
     if x > 2 ** 30:
-        assert spectral._head(string, x)[0] == _direct_head(string, x)[0]
+        assert _head(string, x)[0] == _direct_head(string, x)[0]
 
 
 def _length_calls(string, cap=math.inf):
@@ -292,7 +297,7 @@ def test_deep_lambda_takes_no_long_length_call():
     # lengths; the hyperbola kernel's head holds j1 = 184 653
     string, sizes = _length_calls(bundled_examples()["profile_log_D0.5"].build()[2],
                                   cap=4 * 10 ** 5)
-    n, phi, delta = spectral_point(string, 1e25)
+    (n, phi, delta), = spectral_points(string, [1e25])
     assert 184653 in sizes
     assert abs((phi - n) - delta) <= 1e-9 * phi
 
@@ -304,7 +309,7 @@ def test_hyperbola_takes_no_more_lengths_than_the_head_below_half():
     x = 1e16 / math.pi
     n_direct, _, j_direct = _direct_head(string, x)
     del sizes[:]
-    assert spectral._head(string, x)[0] == n_direct
+    assert _head(string, x)[0] == n_direct
     assert j_direct > spectral._DIRECT_MAX
     assert sum(sizes) < j_direct
 
@@ -315,20 +320,48 @@ def test_hyperbola_takes_no_more_lengths_than_the_head_below_half():
     ("profile", _sweep_profile()),
 ])
 def test_count_and_defect_equal_spectral_point(name, string):
-    for lam in np.geomspace(1e2, 1e22, 9).tolist() + [2.6210350237577547e25]:
+    # unsorted, with a repeat, an empty head at lambda = 5 and, on the
+    # profile, heads on both sides of _DIRECT_MAX from 1e22 up
+    grid = np.geomspace(1e2, 1e22, 9).tolist() + [2.6210350237577547e25, 5.0, 1e24]
+    lams = grid[1::2] + grid[::2] + [grid[4]]
+    points = spectral_points(string, lams)
+    assert len(points) == len(lams) and points[-1] == points[lams.index(grid[4])]
+    for lam, point in zip(lams, points):
         x = math.sqrt(lam) / math.pi
-        n, _, delta = spectral_point(string, lam)
-        assert eigen_count(string, lam) == n
+        assert spectral_points(string, [lam]) == [point]
+        n, phi, delta = point
+        assert type(n) is int and n == eigen_count(string, lam)
+        assert weyl_term(string, lam) == phi
         assert packing_defect(string, x) == delta
+        assert (n == 0) == (lam == 5.0)
+
+
+def test_second_term_probe_reads_one_head_and_one_tail(monkeypatch):
+    string, derived = make_a_string(1.0), make_derived(power_log(0.5), 0.5)
+    calls = []
+
+    def counted(name):
+        method = getattr(strings.AnalyticString, name)
+
+        def wrapper(self, arg):
+            calls.append(name)
+            return method(self, arg)
+        return wrapper
+
+    for name in ("J", "tail_sum_beyond_index"):
+        monkeypatch.setattr(strings.AnalyticString, name, counted(name))
+    records = second_term_probe(string, derived, np.geomspace(1e4, 1e12, 12))
+    assert len(records) == 12
+    assert sorted(calls) == ["J", "tail_sum_beyond_index"]
 
 
 @pytest.mark.parametrize("slice_length", [1, 7, 4096])
 def test_limb_sums_in_slices_match_one_slice(monkeypatch, slice_length):
     string = make_a_string(1.0).truncate(10 ** 5)
     xs = [math.sqrt(lam) / math.pi for lam in (1e12, 1e18, 1e22)]
-    whole = [spectral._head(string, x) for x in xs]
+    whole = spectral._heads(string, xs)
     monkeypatch.setattr(spectral, "_SLICE", slice_length)
-    assert [spectral._head(string, x) for x in xs] == whole
+    assert spectral._heads(string, xs) == whole
     _assert_head_sum_is_fsum_of_fractions(string, xs[1])
 
 
@@ -356,7 +389,8 @@ def test_positive_arguments_required():
     with pytest.raises(ValueError):
         weyl_term(s, -1.0)
     for string in (s, make_a_string(1.0)):
-        for fn in (eigen_count, packing_defect, weyl_term, spectral_point):
+        for fn in (eigen_count, packing_defect, weyl_term,
+                   lambda string, lam: spectral_points(string, [lam])):
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValueError, match="positive finite number"):
                     fn(string, bad)
