@@ -63,7 +63,9 @@ class ExperimentConfig:
             object.__setattr__(self, f.name, value)
         try:
             self.eps_grid()
-            _lambdas(self.lam_grid())
+            # an overflowing grid is refused below, without numpy's warning
+            with np.errstate(over="ignore"):
+                _lambdas(self.lam_grid())
         except ValueError as exc:
             raise ValueError("grids: %s" % exc) from exc
         return self

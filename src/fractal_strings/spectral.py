@@ -16,22 +16,27 @@ Two kernels take the head, the J(1/x) lengths with l_j x >= 1.  The direct
 kernel floors every head product.  An ``AnalyticString`` head longer than
 ``_DIRECT_MAX`` = 2^15 lengths takes Dirichlet's hyperbola method instead
 (Tenenbaum, Introduction to Analytic and Probabilistic Number Theory,
-I.3.2).  With c_k = #{j : x l_j >= k}, K1 = floor(x^(1/3)) and
-j1 = c_(K1+1),
+I.3.2).  With c_k = #{j : x l_j >= k}, P = _DIRECT_MAX,
+
+    K1 = min(floor(x^(1/3)), floor(head^(2/3)), floor(x l_(P+1)))
+
+and j1 = c_(K1+1),
 
     N = sum_(j <= j1) floor(x l_j) + S,   S = sum_(k <= K1) (c_k - j1),
     delta(x) = sum_(j <= j1) {x l_j} + x tail(j1) - S,
 
-from one ``J`` call on k/x and j1 + 2 K1 further lengths.  For
-l_j ~ j^(-1/D), j1 is about x^(2D/3) where the direct head holds about x^D;
-K1 is at most head^(2/3), so that below D = 1/2 the lengths taken stay
-fewer than the head's.  The c_k are exact (see ``_counts_reaching``), so N
-is the same int; delta is formed apart from N, so phi - N = delta stays a
+from one ``J`` call on k/x and j1 + 2 K1 further lengths; the split holds
+for any K1 >= 0.  For l_j ~ j^(-1/D), j1 is about x^(2D/3) where the
+direct head holds about x^D; head^(2/3) keeps the lengths taken fewer than
+the head's below D = 1/2, and x l_(P+1), where it binds, keeps j1 <= P, a
+slice of the string's stored prefix (K1 = 296, not 6827, for l_j = j^-2
+at lambda = 1e24).  The c_k are exact (see ``_counts_reaching``), so N is
+the same int; delta is formed apart from N, so phi - N = delta stays a
 check.  Explicit and run-length strings keep the direct kernel: their head
 is a slice of lengths already in memory, and it is the hyperbola kernel's
-oracle in the tests.  Lengths never increase, so over a lambda grid each head
-is a prefix of the longest: ``spectral_points`` reads the grid with one
-``J``, one ``length`` and one ``tail_sum_beyond_index`` call.
+oracle in the tests.  Lengths never increase, so over a lambda grid each
+head is a prefix of the longest: ``spectral_points`` reads the grid with
+one ``J`` call, one prefix slice and one ``tail_sum_beyond_index`` call.
 """
 
 from __future__ import annotations
@@ -70,11 +75,13 @@ _SLICE = 1 << 26
 # an analytic head longer than this takes the hyperbola kernel
 _DIRECT_MAX = 2 ** 15
 _BELOW = 1.0 - 2.0 ** -50  # a head holds the lengths above (1/x) * _BELOW
+_NO_TIES = np.empty(0)  # the e of a head whose products miss every integer
 
 
 def _products(vals: np.ndarray, x: float):
-    """(p, floor(p), tie indices, e at the ties) for the lengths vals:
-    p = fl(l_j x), and e with l_j x = p + e exactly where p is an integer.
+    """(p, floor(p), tie indices, floor(e) and e - floor(e) at the ties)
+    for the lengths vals: p = fl(l_j x), and e with l_j x = p + e exactly
+    where p is an integer.  A head without ties forms no e.
 
     floor(p) is exact unless p is an integer, where the rounding may have
     crossed it; there p + floor(e) is.
@@ -82,7 +89,9 @@ def _products(vals: np.ndarray, x: float):
     p = vals * x
     floors = np.floor(p)
     at = np.flatnonzero(p == floors)
-    return p, floors, at, _product_error(vals[at], x)
+    err = _product_error(vals[at], x) if at.size else _NO_TIES
+    err_floors = np.floor(err) if at.size else _NO_TIES
+    return p, floors, at, err_floors, err - err_floors
 
 
 def _count(mult, floors, at, err_floors) -> int:
@@ -92,7 +101,7 @@ def _count(mult, floors, at, err_floors) -> int:
         n = float(floors.sum())
         if n < 2.0 ** 53:
             # non-negative integer terms below 2^53: every partial sum is exact
-            return int(n + err_floors.sum())
+            return int(n + err_floors.sum()) if at.size else int(n)
         return sum(map(int, floors.tolist())) + int(err_floors.sum())
     # Python-int multiplicities, at most depth blocks
     return (sum(m * int(f) for m, f in zip(mult.tolist(), floors.tolist()))
@@ -127,13 +136,11 @@ def _direct(vals: np.ndarray, mult, x: float, fractions: bool = True):
     blocks: it keeps the weighted fsum.  A unit-weight head sums its
     fractions in exact limbs.
     """
-    fracs, floors, at, err = _products(vals, x)
-    err_floors = np.floor(err)
+    fracs, floors, at, err_floors, ties = _products(vals, x)
     n = _count(mult, floors, at, err_floors)
     if not fractions:
         return n, None, None
     fracs -= floors
-    ties = err - err_floors
     if mult is None:
         return n, _unit_fraction_sum(fracs, floors, ties), fracs.size
     fracs[at] = ties
@@ -141,28 +148,31 @@ def _direct(vals: np.ndarray, mult, x: float, fractions: bool = True):
 
 
 def _reaches(lengths, x: float, k):
-    """x l >= k exactly, for lengths l and integers k (arrays or floats)."""
-    p = lengths * x
-    return (p > k) | ((p == k) & (_product_error(lengths, x) >= 0.0))
+    """x l >= k exactly, for lengths l and integers k (arrays of one shape,
+    or floats); the exact product error is formed only where fl(x l) = k."""
+    p = np.asarray(lengths) * x
+    reach = np.asarray(p > k)
+    at = np.flatnonzero(p == k)
+    if at.size:
+        reach.flat[at] = _product_error(np.ravel(lengths)[at], x) >= 0.0
+    return reach
 
 
 def _counts_reaching(string: AnalyticString, x: float, k: np.ndarray) -> np.ndarray:
-    """c_k = #{j : x l_j >= k} for an array of integers k, as Python ints
-    in an object array.
+    """c_k = #{j : x l_j >= k} for an array of integers k, as int64.
 
     J(k/x) counts the lengths above fl(k/x), and below 2^53 each of them
     reaches k.  One length call at c_k and c_k + 1 tests the exact
     products; where the test fails, as where lengths equal to fl(k/x)
     reach k too, the count gallops to its boundary on the exact test.
     """
-    c = string.J(k / x)
-    cf = c.astype(float)
-    lo, hi = string.length(np.concatenate((np.maximum(cf, 1.0), cf + 1.0))).reshape(2, -1)
-    wrong = ~(((cf == 0.0) | _reaches(lo, x, k)) & ~_reaches(hi, x, k))
+    c = string.J(k / x).astype(np.int64)
+    lo, hi = string.length(np.concatenate((np.maximum(c, 1), c + 1))).reshape(2, -1)
+    wrong = ~(((c == 0) | _reaches(lo, x, k)) & ~_reaches(hi, x, k))
     for i in np.flatnonzero(wrong).tolist():
         def reaches(j, kk=float(k[i])):
             return _reaches(string.length(j), x, kk)
-        c[i] = _gallop(reaches, max(c[i], 1)) if reaches(1) else 0
+        c[i] = _gallop(reaches, max(int(c[i]), 1)) if reaches(1) else 0
     return c
 
 
@@ -171,10 +181,11 @@ def _hyperbola(string: AnalyticString, x: float, head: int, fractions: bool):
     Dirichlet's hyperbola method (see the module docstring), for an
     analytic string whose head holds ``head`` lengths.  The lengths past
     j1 have floor(x l_j) <= K1: the c_k - j1 count them."""
-    K1 = min(int(x ** (1.0 / 3.0)), int(head ** (2.0 / 3.0)))
+    K1 = min(int(x ** (1.0 / 3.0)), int(head ** (2.0 / 3.0)),
+             int(x * string.length(_DIRECT_MAX + 1)))
     c = _counts_reaching(string, x, np.arange(1.0, K1 + 2.0))
-    j1 = c[-1]
-    n, fracs, _ = _direct(string.length(np.arange(1.0, j1 + 1.0)), None, x, fractions)
+    j1 = int(c[-1])
+    n, fracs, _ = _direct(string.head(j1), None, x, fractions)
     s = sum(c[:-1].tolist()) - K1 * j1
     return n + s, math.fsum((fracs, -s)) if fractions else None, j1
 
@@ -186,14 +197,14 @@ def _heads(string: FractalString, xs: List[float], fractions: bool = True):
     The head holds the lengths above eps, just below 1/x: every length
     whose exact product with x reaches 1.  A length left out has
     floor(l_j x) = 0 and {l_j x} = l_j x.  A stored head is one runs_above
-    slice; analytic heads of up to _DIRECT_MAX lengths are prefixes of one
-    length call after one J call, and a longer one takes the hyperbola kernel.
+    slice; analytic heads of up to _DIRECT_MAX lengths are slices of the
+    string's stored prefix after one J call, and a longer one takes the
+    hyperbola kernel, which reads l_(_DIRECT_MAX + 1) from the prefix.
     """
     if not isinstance(string, AnalyticString):
         return [_direct(*string.runs_above((1.0 / x) * _BELOW), x, fractions) for x in xs]
     js = string.J([(1.0 / x) * _BELOW for x in xs]).tolist()
-    top = max([j for j in js if j <= _DIRECT_MAX], default=0)
-    lengths = string.length(np.arange(1.0, top + 1.0))
+    lengths = string.head(min(max(js, default=0), _DIRECT_MAX + 1))
     return [_hyperbola(string, x, j, fractions) if j > _DIRECT_MAX
             else _direct(lengths[:j], None, x, fractions) for x, j in zip(xs, js)]
 

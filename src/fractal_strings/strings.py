@@ -9,6 +9,10 @@ its tail integral on the gauge side, by quadrature in ln(1/y).
 ``length``, ``J`` and ``tail_sum_beyond_index`` take one index or eps, or
 an array of them: an array gives an array of its shape, a scalar a Python
 scalar.  Counts are exact Python ints, in object arrays, also past 2^63.
+
+An analytic string stores its first lengths, at most _PREFIX = 2^15 + 1
+(256 KiB), so that heads and counts inside them read one array instead of
+the profile, and its tails below index 511 keep their Euler-Maclaurin terms.
 """
 
 from __future__ import annotations
@@ -36,6 +40,12 @@ def _compensated_suffix_sums(values: np.ndarray) -> np.ndarray:
     prev = np.concatenate(([0.0], s[:-1]))
     err = np.where(np.abs(prev) >= np.abs(v), (prev - s) + v, (v - s) + prev)
     return np.append((s + np.cumsum(err))[::-1], 0.0)
+
+
+def _count_above(vals: np.ndarray, eps):
+    """#{l in vals : l > eps} for non-increasing vals; the reversed view
+    that searchsorted takes copies nothing."""
+    return vals.size - np.searchsorted(vals[::-1], eps, side="right")
 
 
 def _tail_indices(m) -> np.ndarray:
@@ -74,6 +84,9 @@ def _exp_rule():
 
 _EXP_NODES, _EXP_WEIGHTS = _exp_rule()
 _EM_OFFSETS = np.arange(5.0)
+_EM_TOP = 512  # the Euler-Maclaurin closure point of every tail index below it
+# spectral's direct heads of up to 2^15 lengths and the length past them
+_PREFIX = 2 ** 15 + 1
 # float(j) is exact below it, and J the exact count
 _EXACT_INDEX = 2 ** 53
 _PANEL_FACTOR = 8.0
@@ -121,8 +134,8 @@ def _panel_integral(fn: Callable, a: float, b: float = math.inf) -> float:
     raise NumericError("tail integral from %g did not converge by 1e300" % a)
 
 
-def _em_tail_sum(fn: Callable, ms: Sequence[int],
-                 integral: Optional[Callable] = None) -> np.ndarray:
+def _em_tail_sum(fn: Callable, ms: Sequence[int], integral: Optional[Callable] = None,
+                 low: Optional[list] = None) -> np.ndarray:
     """sum_{j > m} fn(j) for each m in ms, for a smooth, eventually
     power-decaying fn that takes float arrays.
 
@@ -132,10 +145,34 @@ def _em_tail_sum(fn: Callable, ms: Sequence[int],
     so that no point lies below M.  The direct terms and the five closure
     points of every m take one fn call.  ``integral(M, fn(M))`` gives the
     integrals for an array of M; without it, Gauss-Legendre panels
-    integrate fn.
+    integrate fn.  ``low``, a list that the caller keeps for one fn and
+    integral, holds fn(1), ..., fn(511) and the closure at 512 that every m
+    below 512 shares, from the first such m on; the sums stay bit for bit.
     """
+    ms = np.array([int(m) for m in ms], dtype=object)
+    below = ms < _EM_TOP if low is not None else np.zeros(ms.size, dtype=bool)
+    out = np.empty(ms.size)
+    if not below.all():
+        sums, (integrals, f_2, d1_12, d3_720), _ = _em_parts(fn, ms[~below], integral)
+        out[~below] = sums + integrals + f_2 - d1_12 + d3_720
+    if below.any():
+        if not low:
+            # m = 0: the five closure points at 512, then fn(1), ..., fn(511)
+            _, closure, values = _em_parts(fn, [0], integral)
+            low += [values[_EM_OFFSETS.size:].tolist(), closure]
+        terms, (integrals, f_2, d1_12, d3_720) = low
+        sums = np.array([math.fsum(terms[m:]) for m in ms[below].tolist()])
+        out[below] = sums + integrals + f_2 - d1_12 + d3_720
+    return out
+
+
+def _em_parts(fn: Callable, ms: Sequence[int], integral: Optional[Callable] = None):
+    """The direct sums and the closure terms (integral, f/2, f'/12,
+    f'''/720) of ``_em_tail_sum`` without ``low``, each an array over ms,
+    and the fn values: the five closure points of every m, then the direct
+    terms."""
     ms = [int(m) for m in ms]
-    tops = [max(m + 1, 512) for m in ms]
+    tops = [max(m + 1, _EM_TOP) for m in ms]
     M = np.array(tops, dtype=float)
     step = np.maximum(M * 1e-4, 1e-4)
     points = M[:, None] + step[:, None] * _EM_OFFSETS
@@ -150,7 +187,7 @@ def _em_tail_sum(fn: Callable, ms: Sequence[int],
         integrals = integral(M, f0)
     d1 = (-25 * f0 + 48 * f1 - 36 * f2 + 16 * f3 - 3 * f4) / (12 * step)
     d3 = (-5 * f0 + 18 * f1 - 24 * f2 + 14 * f3 - 3 * f4) / (2 * step ** 3)
-    return sums + integrals + f0 / 2.0 - d1 / 12.0 + d3 / 720.0
+    return sums, (integrals, f0 / 2.0, d1 / 12.0, d3 / 720.0), values
 
 
 def _gauge_side_integral(gauge: GaugeFunction, Y: np.ndarray) -> np.ndarray:
@@ -251,15 +288,17 @@ class ExplicitString(FractalString):
 
     def J(self, eps):
         e = np.asarray(eps, dtype=float)
-        return _shaped(np.searchsorted(-self._vals, -e.ravel(), side="left").astype(object),
-                       e.shape)
+        return _shaped(_count_above(self._vals, e.ravel()).astype(object), e.shape)
 
     def runs_above(self, eps: float):
-        return self._vals[:self.J(eps)], None
+        return self._vals[:_count_above(self._vals, eps)], None
 
     def tail_sum_beyond_index(self, m):
         mm = np.minimum(_tail_indices(m), self._vals.size)
         return _shaped(self._suffix[mm.astype(np.int64)], np.shape(m))
+
+    def total_length(self) -> float:
+        return float(self._suffix[0])
 
     def count(self):
         return int(self._vals.size)
@@ -291,11 +330,10 @@ class RunLengthString(FractalString):
 
     def J(self, eps):
         e = np.asarray(eps, dtype=float)
-        return _shaped(self._cum[np.searchsorted(-self._vals, -e.ravel(), side="left")],
-                       e.shape)
+        return _shaped(self._cum[_count_above(self._vals, e.ravel())], e.shape)
 
     def runs_above(self, eps: float):
-        b = int(np.searchsorted(-self._vals, -eps, side="left"))
+        b = _count_above(self._vals, eps)
         return self._vals[:b], self._mult[:b]
 
     def tail_sum_beyond_index(self, m):
@@ -304,6 +342,9 @@ class RunLengthString(FractalString):
         # add the part of block b-1 that lies beyond m
         over = np.asarray(self._cum[b] - mm, dtype=float)
         return _shaped(self._suffix[b] + over * self._vals[b - 1], np.shape(m))
+
+    def total_length(self) -> float:
+        return float(self._suffix[0])
 
     def count(self):
         return self._cum[-1]
@@ -331,6 +372,13 @@ class AnalyticString(FractalString):
     There ``J`` accepts j = floor(hint) once l(j - s) > eps >= l(j + s) with
     s = j >> 43, and otherwise gallops as below 2^53: the result lies within
     a relative 2^-43 of a crossing of the float profile.
+
+    The stored prefix l_1, ..., l_n (n <= _PREFIX) is read-only, filled on
+    first need and grown by one length_fn call when a head needs more, so a
+    length_fn value may not depend on the rest of its array.  ``head`` and
+    ``runs_above`` slice it, ``length`` gathers from it, and ``J`` counts
+    each eps at or above its last length by searchsorted: only the rest
+    take the tests above.
     """
 
     def __init__(self, length_fn: Callable, inv_hint: Callable,
@@ -338,14 +386,40 @@ class AnalyticString(FractalString):
         self._fn = length_fn
         self._inv = inv_hint
         self._tail = tail_fn
+        # the stored prefix, its last length, and the tails' terms below 512
+        self._prefix, self._last, self._low = np.empty(0), math.inf, []
         # the tail beyond index 0, taken once: a profile tail is a quadrature
         self._total = float(self.tail_sum_beyond_index(0))
+
+    def head(self, n: int) -> np.ndarray:
+        """l_1, ..., l_n: a read-only slice of the stored prefix, grown to
+        min(n, _PREFIX) lengths, and past it one more length_fn call."""
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        have = self._prefix.size
+        if have < min(n, _PREFIX):
+            more = self._fn(np.arange(have + 1.0, min(n, _PREFIX) + 1.0))
+            self._prefix = np.concatenate((self._prefix, more))
+            self._prefix.flags.writeable = False
+            self._last = self._prefix[-1]
+        if n <= _PREFIX:
+            return self._prefix[:n]
+        return np.concatenate((self._prefix, self._fn(np.arange(_PREFIX + 1.0, n + 1.0))))
 
     def length(self, j):
         jj = np.asarray(j)
         if np.any(jj < 1):
             raise IndexError("index must be >= 1")
-        values = np.asarray(self._fn(jj.astype(float).ravel()), dtype=float)
+        js = jj.astype(float).ravel()
+        if not self._prefix.size:
+            return _shaped(np.asarray(self._fn(js), dtype=float), jj.shape)
+        # stored integer indices are gathered, the profile takes the rest
+        index = np.minimum(js, self._prefix.size).astype(np.intp)
+        inside = index == js
+        values = np.empty(js.size)
+        values[inside] = self._prefix[index[inside] - 1]
+        if not inside.all():
+            values[~inside] = self._fn(js[~inside])
         return _shaped(values, jj.shape)
 
     def J(self, eps):
@@ -353,6 +427,17 @@ class AnalyticString(FractalString):
         if e.size == 1:
             return _shaped(np.array([self._J_one(e)], dtype=object), e.shape)
         x = e.ravel()
+        # the lengths past the prefix are at most its last: an eps at or
+        # above it is counted inside the prefix
+        inside = x >= self._last
+        out = np.empty(x.size, dtype=object)
+        out[inside] = _count_above(self._prefix, x[inside])
+        if not inside.all():
+            out[~inside] = self._J_hint(x[~inside])
+        return _shaped(out, e.shape)
+
+    def _J_hint(self, x: np.ndarray) -> np.ndarray:
+        """J of a flat eps array by the tests, as numpy masks."""
         starts = np.maximum(np.floor(np.asarray(self._inv(x), dtype=float)), 1.0,
                             out=np.empty(x.size))
         big = starts >= _EXACT_INDEX
@@ -372,11 +457,14 @@ class AnalyticString(FractalString):
                 out[i] = j
             else:
                 out[i] = _gallop(lambda n, eps=float(x[i]): self.length(n) > eps, j)
-        return _shaped(out, e.shape)
+        return out
 
     def _J_one(self, e: np.ndarray) -> int:
-        """J of a one-element eps array: the tests of J on Python floats."""
+        """J of a one-element eps array: from the prefix, or by the tests on
+        Python floats."""
         eps = e.item()
+        if eps >= self._last:
+            return int(_count_above(self._prefix, eps))
         j = max(1, int(np.asarray(self._inv(e.ravel()), dtype=float).flat[0]))
         s = j >> 43 if j >= _EXACT_INDEX else 1
         index = np.array([1.0, max(1, j - s), j, j + s], dtype=float)
@@ -393,15 +481,13 @@ class AnalyticString(FractalString):
         return _gallop(lambda n: self.length(n) > eps, j)
 
     def runs_above(self, eps: float):
-        j = self.J(eps)
-        js = np.arange(1, j + 1, dtype=float)
-        return np.asarray(self._fn(js), dtype=float), None
+        return self.head(self.J(eps)), None
 
     def tail_sum_beyond_index(self, m):
         _tail_indices(m)
         if self._tail is not None:
             return self._tail(m)
-        return _shaped(_em_tail_sum(self._fn, np.ravel(m)), np.shape(m))
+        return _shaped(_em_tail_sum(self._fn, np.ravel(m), low=self._low), np.shape(m))
 
     def total_length(self) -> float:
         return self._total
@@ -473,10 +559,12 @@ def make_profile(L: float, derived: DerivedFunctions) -> AnalyticString:
     def integral(M, fM):
         return L * _gauge_side_integral(derived.gauge, fM / L)
 
+    low = []  # the tail's kept terms below 512 (see _em_tail_sum)
+
     def tail_fn(m):
         ms = [int(k) for k in np.ravel(m)]
         prefix = np.array([max(j0 - 1 - k, 0) for k in ms], dtype=float) * clamp
-        tails = _em_tail_sum(length_fn, [max(k, j0 - 1) for k in ms], integral)
+        tails = _em_tail_sum(length_fn, [max(k, j0 - 1) for k in ms], integral, low)
         return _shaped(prefix + tails, np.shape(m))
 
     return AnalyticString(length_fn, inv_hint, tail_fn=tail_fn)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +121,20 @@ def test_cli_verify_rejects_a_config_value_of_the_wrong_type(tmp_path, capsys,
         main(["verify", _write_config(tmp_path, payload)])
     assert exc.value.code == 2
     assert key in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum", "content"])
+def test_cli_overflowing_lambda_grid_writes_one_json_object(tmp_path, command):
+    # lam_factor ** k overflows to inf: in a fresh interpreter, with numpy's
+    # warnings shown, stderr holds the one JSON error and nothing else
+    path = _write_config(tmp_path, dict(A1_CONFIG, grids={"lam_factor": 1e300}))
+    src = str(Path(harness.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "fractal_strings.cli", command, path],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr) == {
+        "error": "grids: lambda must be a non-negative finite number"}
 
 
 def test_config_fills_the_grid_keys_left_out():

@@ -232,7 +232,7 @@ def _hyperbola_case(name):
 
 @pytest.mark.parametrize("name", ["sweep_profile", "profile_log_D0.5",
                                   "a_string_0.5", "clamped_profile"])
-def test_hyperbola_kernel_equals_the_direct_kernel(name):
+def test_hyperbola_kernel_equals_the_direct_kernel(monkeypatch, name):
     string, top = _hyperbola_case(name)
     x_top = math.sqrt(top) / math.pi
     xs = [math.sqrt(lam) / math.pi for lam in np.geomspace(1e9, top, 7).tolist()]
@@ -241,6 +241,16 @@ def test_hyperbola_kernel_equals_the_direct_kernel(name):
         xs += [1e10, 1e10 * (1.0 + 2.0 ** -52)]
     else:
         assert (name == "profile_log_D0.5") == (string.length(1) == string.length(9))
+    # x l_(P+1) just below 1 with a head past P = 2^15: K1 = 0, and the
+    # count is the direct part alone
+    l_next = float(string.head(spectral._DIRECT_MAX + 1)[-1])
+    xs.append(1.0 / l_next)
+    while xs[-1] * l_next >= 1.0:
+        xs[-1] = float(np.nextafter(xs[-1], 0.0))
+    ks = []
+    counts_reaching = spectral._counts_reaching
+    monkeypatch.setattr(spectral, "_counts_reaching",
+                        lambda s, x, k: ks.append(k.size) or counts_reaching(s, x, k))
     xs.append(x_top)
     heads = 0
     # the whole grid from one driver call, with and without fractions
@@ -256,7 +266,7 @@ def test_hyperbola_kernel_equals_the_direct_kernel(name):
         delta_direct = head_direct + x * string.tail_sum_beyond_index(j_direct)
         assert delta == pytest.approx(delta_direct, rel=1e-12, abs=0.0), (name, x)
         assert count == n
-    assert heads >= 3
+    assert heads >= 4 and 1 in ks
 
 
 def _inverse_square_string():
@@ -270,6 +280,7 @@ def test_counts_reaching_k_are_exact_at_ties(x):
     string = _inverse_square_string()
     k = np.arange(1.0, int(x ** (1.0 / 3.0)) + 2.0)
     counts = spectral._counts_reaching(string, x, k)
+    assert counts.dtype == np.int64
     # the boundaries that J(k/x) misplaces, all at ties l_j = fl(k/x)
     assert (counts != string.J(k / x)).any()
     for kk, c in zip(range(1, k.size + 1), counts.tolist()):
@@ -294,12 +305,77 @@ def _length_calls(string, cap=math.inf):
 
 def test_deep_lambda_takes_no_long_length_call():
     # lambda = 1e25 on profile_log_D0.5: the direct head would hold 2.8e7
-    # lengths; the hyperbola kernel's head holds j1 = 184 653
+    # lengths; the hyperbola kernel's head holds j1 = 184 653, the stored
+    # prefix and one call for the rest
     string, sizes = _length_calls(bundled_examples()["profile_log_D0.5"].build()[2],
                                   cap=4 * 10 ** 5)
     (n, phi, delta), = spectral_points(string, [1e25])
-    assert 184653 in sizes
+    assert 184653 - strings._PREFIX in sizes
     assert abs((phi - n) - delta) <= 1e-9 * phi
+
+
+def test_deep_count_reads_the_prefix_and_few_other_lengths():
+    # after warm-up the prefix holds 2^15 + 1 lengths, and at 1e24 the
+    # count takes K1 = floor(x l_(2^15 + 1)) = 296 rather than x^(1/3) =
+    # 6827: J tests 3 (K1 + 1) + 1 lengths and the counts 2 (K1 + 1)
+    string, sizes = _length_calls(_sweep_profile())
+    lam = 1e24
+    x = math.sqrt(lam) / math.pi
+    n = eigen_count(string, lam)
+    assert string._prefix.size == strings._PREFIX == spectral._DIRECT_MAX + 1
+    assert int(x * string.length(strings._PREFIX)) == 296
+    del sizes[:]
+    assert eigen_count(string, lam) == n == _direct_head(_sweep_profile(), x)[0]
+    assert 0 < max(sizes) <= 4 * (296 + 2)
+
+
+@pytest.mark.parametrize("make", [_sweep_profile, _clamped_profile, _inverse_square_string])
+def test_J_across_the_prefix_end_equals_the_hint_tests(make):
+    # eps at stored lengths (ties), between them and past the prefix's end:
+    # J counts those at or above its last length inside the prefix, and
+    # must agree with the tests of the hint on every one
+    string = make()
+    stored = string.head(strings._PREFIX)
+    ends = string._fn(np.arange(strings._PREFIX - 40.0, strings._PREFIX + 41.0))
+    eps = np.concatenate((ends, np.sqrt(ends[:-1] * ends[1:]),
+                          stored[[0, 1, 9998, 9999, 10000, 20000]],
+                          np.geomspace(stored[1000], stored[-1] / 4.0, 60)))
+    assert (eps >= stored[-1]).any() and (eps < stored[-1]).any()
+    expected = string._J_hint(eps).tolist()
+    assert string.J(eps).tolist() == expected
+    assert [string.J(float(e)) for e in eps] == expected
+    assert string._prefix.size == strings._PREFIX
+
+
+def test_tie_free_heads_form_no_product_error(monkeypatch):
+    sizes = []
+    product_error = spectral._product_error
+    monkeypatch.setattr(spectral, "_product_error",
+                        lambda a, b: sizes.append(np.size(a)) or product_error(a, b))
+    string, lam = make_a_string(1.0).truncate(10 ** 5), 2.9e10
+    x = math.sqrt(lam) / math.pi
+    vals = string.runs_above((1.0 / x) * spectral._BELOW)[0]
+    assert vals.size == 232 and not np.any(vals * x == np.floor(vals * x))
+    eigen_count(string, lam)
+    packing_defect(string, x)
+    assert sizes == []
+    # products at 2 and 1, and 1.2 off an integer: the error at the two ties
+    assert eigen_count(ExplicitString([0.5, 0.25, 0.3]), (4.0 * math.pi) ** 2) == 4
+    assert sizes == [2]
+
+
+def test_reaches_forms_the_product_error_only_at_ties(monkeypatch):
+    sizes = []
+    product_error = spectral._product_error
+    monkeypatch.setattr(spectral, "_product_error",
+                        lambda a, b: sizes.append(np.size(a)) or product_error(a, b))
+    # fl(1/3) * 3 rounds up onto 1, and the exact product stays below it
+    lengths, k = np.array([0.5, 0.25, 1.0 / 3.0, 0.3]), np.ones(4)
+    assert spectral._reaches(lengths, 3.0, k).tolist() == [True, False, False, False]
+    assert sizes == [1]
+    assert [bool(spectral._reaches(l, 3.0, 1.0)) for l in lengths.tolist()] == \
+        [True, False, False, False]
+    assert sizes == [1, 1]
 
 
 def test_hyperbola_takes_no_more_lengths_than_the_head_below_half():

@@ -12,8 +12,8 @@ from fractal_strings import (AnalyticString, ExplicitString, RunLengthString,
                              make_cantor, make_interval, make_profile,
                              make_derived, power_log, string_from_json)
 from fractal_strings.errors import ConstructionError, NumericError
-from fractal_strings.strings import (_PANEL_FACTOR, _compensated_suffix_sums,
-                                     _gauge_side_integral, _panel_integral)
+from fractal_strings.strings import (_PANEL_FACTOR, _PREFIX, _compensated_suffix_sums,
+                                     _em_tail_sum, _gauge_side_integral, _panel_integral)
 
 
 def test_explicit_sorts_and_counts():
@@ -552,3 +552,81 @@ def test_gauge_side_integral_small_rho_and_iterated_logs(D, alphas):
                                [0, 0.1, 0.5, 2, 10, 50, 200, mpmath.inf])
             exact = y ** rho * (body / rho - phi(u))
             assert value == pytest.approx(float(exact), rel=1e-14, abs=0)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("name", ["profile_power_D0.5", "profile_log_D0.5", "a_string_0.5"])
+def test_stored_prefix_is_length_fn_bit_for_bit_and_capped(name):
+    string = bundled_examples()[name].build()[2]
+    for n in (7, 600, 40000, 5, _PREFIX, 70000):
+        head = string.head(n)
+        assert _bits(head) == _bits(string._fn(np.arange(1.0, n + 1.0)))
+        assert string._prefix.size == min(max(n, string._prefix.size), _PREFIX)
+        assert not string._prefix.flags.writeable
+    assert _bits(string._prefix) == _bits(string._fn(np.arange(1.0, _PREFIX + 1.0)))
+    assert string.head(0).size == 0
+    with pytest.raises(ValueError):
+        string.head(-1)
+    # counts, lengths and tails read the prefix, and do not grow it
+    string.J(np.geomspace(1e-30, 1.0, 50))
+    string.length(np.array([1, 9, 5000, 40000, 10 ** 9]))
+    string.tail_sum_beyond_index([0, 100, 10 ** 6])
+    past = string.length(_PREFIX + 9)
+    assert string.runs_above(past)[0].size == string.J(past) > _PREFIX
+    assert string._prefix.size == _PREFIX
+    js = np.array([1.0, 2.5, 9.0, _PREFIX - 0.5, _PREFIX, _PREFIX + 1.0, 1e12])
+    assert _bits(string.length(js)) == _bits(string._fn(js))
+
+
+def _recorded(length_fn):
+    calls = []
+
+    def fn(js):
+        calls.append(np.size(js))
+        return length_fn(js)
+    return fn, calls
+
+
+def test_tails_below_the_closure_point_keep_their_terms_bit_for_bit():
+    # every tail equals one _em_tail_sum call over length_fn; below index
+    # 511 the direct terms and the closure at 512 are formed once, so a
+    # later one calls length_fn no more
+    ms = [0, 1, 17, 510, 511, 512, 513, 5000, 3, 600, 300]
+    derived = make_derived(power_log(0.5), 0.5)
+    profile = make_profile(1.0, derived)
+    expected = _em_tail_sum(profile._fn, ms,
+                            lambda M, fM: 1.0 * _gauge_side_integral(derived.gauge, fM / 1.0))
+    assert _bits(profile.tail_sum_beyond_index(ms)) == _bits(expected)
+    assert [profile.tail_sum_beyond_index(m) for m in ms] == expected.tolist()
+    fn, calls = _recorded(lambda j: np.asarray(j, dtype=float) ** -2.0)
+    s = AnalyticString(fn, lambda eps: eps ** -0.5)
+    assert _bits(s.tail_sum_beyond_index(ms)) == _bits(_em_tail_sum(fn, ms))
+    del calls[:]
+    tails = s.tail_sum_beyond_index([5, 400])
+    assert calls == []
+    assert tails.tolist() == _em_tail_sum(fn, [5, 400]).tolist()
+
+
+def _stored_strings():
+    rng = np.random.default_rng(30)
+    lengths = rng.choice(rng.uniform(1e-6, 1.0, 400), 1000)  # with repeats
+    return [ExplicitString(lengths), make_cantor(),
+            RunLengthString([(0.5, 3), (0.25, 2 ** 70), (1e-3, 1)])]
+
+
+@pytest.mark.parametrize("string", _stored_strings())
+def test_stored_counts_equal_the_negated_searchsorted(string):
+    vals = string._vals
+    eps = np.concatenate((vals, np.nextafter(vals, 0.0), np.nextafter(vals, 1.0),
+                          [0.0, 5e-324, 2.0 * vals[0], 1e300]))
+    b = np.searchsorted(-vals, -eps, side="left")
+    counts = b if isinstance(string, ExplicitString) else string._cum[b]
+    assert string.J(eps).tolist() == counts.tolist()
+    assert [string.J(float(e)) for e in eps] == counts.tolist()
+    for e, n in zip(eps.tolist(), b.tolist()):
+        assert string.runs_above(e)[0].tolist() == vals[:n].tolist()
+    assert type(string.total_length()) is float
+    assert string.total_length() == float(string.tail_sum_beyond_index(0))
