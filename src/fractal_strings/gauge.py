@@ -61,7 +61,7 @@ class GaugeFunction:
         both 0 for a pure power.  Pass u as -ln(y): 1/y overflows for
         subnormal y."""
         L = np.asarray(u, dtype=float)
-        ln_l, ela = np.zeros(L.shape), np.zeros(L.shape)
+        ln_l = ela = 0.0 if self.log_exponents else np.zeros(L.shape)
         prod = 1.0
         for alpha in self.log_exponents:
             ln_L = np.log(L)
@@ -179,12 +179,12 @@ class DerivedFunctions:
         the other elements of the call.
         """
         u_hi = math.log(self.y1)
-        u = np.clip(ln_z / self.D, _U_FLOOR, u_hi)
+        u = np.minimum(np.maximum(ln_z / self.D, _U_FLOOR), u_hi)
         previous = np.full(u.shape, math.inf)
         live = np.ones(u.shape, dtype=bool)
         for _ in range(_NEWTON_ITERATIONS):
             ln_H, slope = _ln_H(self.gauge, self.D, u)
-            moved = np.clip(u - (ln_H - ln_z) / slope, _U_FLOOR, u_hi)
+            moved = np.minimum(np.maximum(u - (ln_H - ln_z) / slope, _U_FLOOR), u_hi)
             # the step actually taken: 0 where the clip holds u at y1
             rel = np.abs(moved - u) / np.abs(moved)
             np.copyto(u, moved, where=live)

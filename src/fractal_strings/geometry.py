@@ -103,12 +103,14 @@ def trailing_extremes(values: np.ndarray, scales: np.ndarray):
     slope against the scales.
 
     The slope is fitted over the whole grid so bounded oscillation averages
-    out instead of aliasing into a trend; it is inf unless every sample is
-    positive and finite.
+    out instead of aliasing into a trend, as the centred least-squares
+    ratio; it is inf unless every sample is positive and finite.
     """
     tail = trailing_third(values)
     if np.all(values > 0) and np.all(np.isfinite(values)):
-        slope = float(np.polyfit(np.log(scales), np.log(values), 1)[0])
+        x, y = np.log(scales), np.log(values)
+        x = x - x.mean()
+        slope = float(np.dot(x, y - y.mean()) / np.dot(x, x))
     else:
         slope = math.inf
     return float(np.min(tail)), float(np.max(tail)), slope

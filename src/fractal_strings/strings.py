@@ -89,6 +89,8 @@ _EM_TOP = 512  # the Euler-Maclaurin closure point of every tail index below it
 _PREFIX = 2 ** 15 + 1
 # float(j) is exact below it, and J the exact count
 _EXACT_INDEX = 2 ** 53
+# J reads the lengths up to this many indices from each gallop's start in one call
+_WINDOW = 64
 _PANEL_FACTOR = 8.0
 _PANEL_BATCH = 8
 
@@ -202,6 +204,8 @@ def _gauge_side_integral(gauge: GaugeFunction, Y: np.ndarray) -> np.ndarray:
     depend on the other Y.
     """
     rho = gauge.index
+    if gauge.is_pure_power:
+        return gauge.h(Y) * (1.0 - rho) / rho
     u = -np.log(Y)
     log_ratio = (gauge.slowly_varying(u[:, None] + _EXP_NODES / rho)[0]
                  - gauge.slowly_varying(u)[0][:, None])
@@ -361,10 +365,12 @@ class AnalyticString(FractalString):
     and j + 1: j passes when l_j > eps >= l_(j+1), and j - 1 when
     l_(j-1) > eps >= l_j (a tie that the hint rounded up onto).  For an
     array of eps the tests are numpy masks over the whole array, and only
-    the starts that fail them gallop outward to a bracket, each in
-    O(log |hint error|) scalar evaluations; with the exact inverse as hint,
-    as for ``make_profile``, that is rare.  One eps, alone or in a one-element
-    array, takes the same tests on Python floats, at half the cost of the masks.
+    the starts that fail them gallop outward to a bracket.  The gallops read
+    the lengths at j - 64, ..., j + 64 of every such start, taken in one
+    length_fn call, and a step past that window calls ``length``; with the
+    exact inverse as hint, as for ``make_profile``, that is rare.  One eps,
+    alone or in a one-element array, takes the same tests on Python floats,
+    at half the cost of the masks, and gallops by scalar evaluations.
 
     Below 2^53, ``J`` is exact: the largest j with l_j > eps.  Past 2^53,
     float(j) merges neighbouring indices and the float profile carries
@@ -449,14 +455,25 @@ class AnalyticString(FractalString):
         # below 2^53: j where mid > eps >= hi, j - 1 where lo > eps >= mid
         fits = ~big & ((mid > hi) | (lo > mid))
         out = np.where(fits, starts - 1.0 + mid, 0.0).astype(np.int64).astype(object)
+        gallops = []
         for i in np.flatnonzero(~fits).tolist():
-            j = int(starts[i])
             if x[i] >= values[0]:
                 out[i] = 0
             elif big[i] and lo[i] > hi[i]:
-                out[i] = j
+                out[i] = int(starts[i])
             else:
-                out[i] = _gallop(lambda n, eps=float(x[i]): self.length(n) > eps, j)
+                gallops.append(i)
+        if not gallops:
+            return out
+        # l_(j + k) > eps for k = -64..64 (indices floored at 1) of every
+        # gallop in one call: a step outside the window calls length
+        at = np.maximum(starts[gallops, None] + np.arange(-_WINDOW, _WINDOW + 1.0), 1.0)
+        window = (np.asarray(self._fn(at.ravel()), dtype=float).reshape(at.shape)
+                  > x[gallops, None]).tolist()
+        for i, row in zip(gallops, window):
+            j, eps = int(starts[i]), float(x[i])
+            out[i] = _gallop(lambda n: row[n - j + _WINDOW] if abs(n - j) <= _WINDOW
+                             else self.length(n) > eps, j)
         return out
 
     def _J_one(self, e: np.ndarray) -> int:

@@ -7,6 +7,7 @@ from fractal_strings import (DomainError, ExplicitString, ScaleGrid,
                              cantor_grid, content_estimates,
                              dimension_estimate, make_a_string, make_cantor,
                              make_interval, power_log, tube_volume)
+from fractal_strings.geometry import trailing_extremes
 
 
 def test_scale_grid_validation():
@@ -120,6 +121,23 @@ def test_cantor_s_samples_match_closed_form():
     off = ScaleGrid(scales=3.0 ** -np.arange(10, 41, 2.0) * 2.9 / 2.0)
     got = content_estimates(c, g, off)[1].values
     assert got == pytest.approx([closed(e) for e in off.scales], rel=1e-12)
+
+
+def test_drift_slope_equals_polyfit():
+    # the centred least-squares ratio against numpy's degree-1 fit, on
+    # decreasing and increasing grids, flat, drifting and oscillating samples
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        n = int(rng.integers(9, 90))
+        grid = ScaleGrid.geometric(10.0 ** rng.uniform(-3, 3),
+                                   10.0 ** (rng.choice([-1, 1]) * rng.uniform(0.01, 1.0)), n)
+        x = np.log(grid.scales)
+        values = np.exp(rng.uniform(-0.3, 0.3) * x + rng.normal(0.0, 0.1, n)
+                        + rng.uniform(-5, 5))
+        slope = trailing_extremes(values, grid.scales)[2]
+        fit = np.polyfit(x, np.log(values), 1)[0]
+        assert slope == pytest.approx(fit, rel=1e-12, abs=1e-15)
+    assert trailing_extremes(np.array([1.0, 0.0] * 5), np.geomspace(1.0, 1e-9, 10))[2] == math.inf
 
 
 def test_cantor_contents_oscillate_without_drift():

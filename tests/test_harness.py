@@ -494,18 +494,27 @@ def test_cli_verify_writes_an_unfittable_drift_slope_as_null(tmp_path, capsys):
                                   "profile_log_D0.7"])
 def test_log_profile_verify_evaluation_budget(monkeypatch, name):
     # every profile length goes through H_inv: J tests a whole grid in one
-    # call, and a tail's integral needs no H_inv beyond its five closure
-    # points, so a verify run makes 38 to 61 calls
-    calls = []
+    # call and its gallops read one window, and a tail's integral needs no
+    # H_inv beyond its five closure points, so a verify run makes 8 to 10
+    # calls, and past the build none of one element
+    sizes, built = [], []
     h_inv = gauge.DerivedFunctions.H_inv
+    build = ExperimentConfig.build
 
     def counted(self, z):
-        calls.append(1)
+        sizes.append((np.size(z), bool(built)))
         return h_inv(self, z)
 
+    def recorded(self):
+        out = build(self)
+        built.append(True)
+        return out
+
     monkeypatch.setattr(gauge.DerivedFunctions, "H_inv", counted)
+    monkeypatch.setattr(ExperimentConfig, "build", recorded)
     run_verify(bundled_examples()[name])
-    assert 0 < len(calls) <= 200
+    assert 0 < len(sizes) <= 10
+    assert (1, True) not in sizes
 
 
 @pytest.mark.parametrize("name", ["profile_power_D0.3", "profile_log_D0.3",

@@ -7,13 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import polygamma
 
-from fractal_strings import (AnalyticString, ExplicitString, RunLengthString,
-                             bundled_examples, gauge_from_json, make_a_string,
-                             make_cantor, make_interval, make_profile,
+from fractal_strings import (AnalyticString, ExplicitString, GaugeFunction,
+                             RunLengthString, bundled_examples, gauge_from_json,
+                             make_a_string, make_cantor, make_interval, make_profile,
                              make_derived, power_log, string_from_json)
 from fractal_strings.errors import ConstructionError, NumericError
-from fractal_strings.strings import (_PANEL_FACTOR, _PREFIX, _compensated_suffix_sums,
-                                     _em_tail_sum, _gauge_side_integral, _panel_integral)
+from fractal_strings.strings import (_EXP_NODES, _EXP_WEIGHTS, _PANEL_FACTOR, _PREFIX,
+                                     _compensated_suffix_sums, _em_tail_sum,
+                                     _gauge_side_integral, _panel_integral)
 
 
 def test_explicit_sorts_and_counts():
@@ -279,6 +280,26 @@ def test_vectorized_J_equals_the_loop(name, hint, log_eps, ties):
     assert s.J(eps).tolist() == expected
     assert [s.J(float(e)) for e in eps] == expected
     assert all(type(j) is int for j in expected)
+
+
+@pytest.mark.parametrize("name", ["profile_log_D0.3", "profile_log_D0.5",
+                                  "profile_log_D0.7"])
+def test_J_at_the_plateau_equals_the_loop(name):
+    # near j = 1e15 the log lengths stop resolving indices, so the hint tests
+    # fail and J gallops: inside the window from the exact hint, and out of
+    # it, by scalar length calls, from a hint 100 or a relative 1e-3 off
+    p = string_from_json(bundled_examples()[name].string_spec)
+    lengths = p._fn(np.round(np.geomspace(1.5e15, 6.4e15, 24)))
+    eps = np.concatenate((lengths, np.nextafter(lengths, 0.0), np.nextafter(lengths, 1.0)))
+    for inv, far in ((p._inv, False), (lambda t: p._inv(t) + 100.0, True),
+                     (lambda t: 1.001 * p._inv(t), True)):
+        s = AnalyticString(p._fn, inv, p._tail)
+        calls = []
+        length = s.length
+        s.length = lambda n: calls.append(n) or length(n)
+        got = s.J(eps).tolist()
+        assert bool(calls) == far
+        assert got == _J_loop(s, eps)
 
 
 def test_profile_J_past_2_43():
@@ -556,6 +577,27 @@ def test_gauge_side_integral_small_rho_and_iterated_logs(D, alphas):
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def test_pure_power_gauge_side_integral_takes_no_quadrature(monkeypatch):
+    # the quadrature of a log factor, whose excess is exactly 0 for a pure power
+    gauge = power_log(0.4)
+    Y = np.geomspace(0.9, 1e-300, 50)
+    u = -np.log(Y)
+    log_ratio = (gauge.slowly_varying(u[:, None] + _EXP_NODES / 0.4)[0]
+                 - gauge.slowly_varying(u)[0][:, None])
+    excess = np.sum(np.expm1(log_ratio) * _EXP_WEIGHTS, axis=1)
+    quadrature = gauge.h(Y) * (1.0 - 0.4 + excess) / 0.4
+    shapes = []
+    slowly_varying = GaugeFunction.slowly_varying
+
+    def recorded(self, u):
+        shapes.append(np.shape(u))
+        return slowly_varying(self, u)
+
+    monkeypatch.setattr(GaugeFunction, "slowly_varying", recorded)
+    assert _bits(_gauge_side_integral(gauge, Y)) == _bits(quadrature)
+    assert shapes == [Y.shape]  # h(Y) alone
 
 
 @pytest.mark.parametrize("name", ["profile_power_D0.5", "profile_log_D0.5", "a_string_0.5"])
