@@ -50,8 +50,8 @@ def _write(text: str, out_path=None):
 
 
 def _emit(payload, out_path=None):
-    _write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-           + "\n", out_path)
+    """One line of sorted-key JSON: without indent, json uses its C encoder."""
+    _write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n", out_path)
 
 
 def cmd_verify(args) -> int:

@@ -207,6 +207,24 @@ class DerivedFunctions:
         return self.H_inv(1.0 / np.asarray(x, dtype=float))
 
 
+def _monotone_top(gauge: GaugeFunction) -> float:
+    """A y1 where H = y/h(y) rises on (0, y1]: 1 - E_h > 0 on a geometric scan."""
+    y1 = gauge.domain_upper
+    for _ in range(8):
+        ys = np.geomspace(y1 * 1e-16, y1, _MONOTONE_SCAN_POINTS)
+        e_h = gauge.elasticity(ys)
+        ok = 1.0 - e_h > 0.0
+        if np.all(ok):
+            return y1
+        bad = np.nonzero(~ok)[0]
+        if bad[-1] == len(ys) - 1:
+            y1 = y1 / 4.0
+        else:
+            y1 = ys[bad[-1]]  # largest failing point; keep scales below it
+            y1 = y1 * 0.999
+    raise ConstructionError("could not detect a monotone subdomain for H")
+
+
 def make_derived(gauge: GaugeFunction, D: float) -> DerivedFunctions:
     """Construct H, H^-1, f, g for a gauge of index 1-D, D in (0,1)."""
     if not (0.0 < D < 1.0):
@@ -214,26 +232,12 @@ def make_derived(gauge: GaugeFunction, D: float) -> DerivedFunctions:
     if abs(gauge.index - (1.0 - D)) > 1e-12:
         raise ConstructionError(
             "gauge index %g does not match 1-D = %g" % (gauge.index, 1.0 - D))
-    # detect a subdomain (0, y1] where H = y/h(y) is strictly increasing:
-    # elasticity of H is 1 - E_h(y), require it positive on a geometric scan
-    y0 = gauge.domain_upper
-    y1 = y0
-    for _ in range(8):
-        ys = np.geomspace(y1 * 1e-16, y1, _MONOTONE_SCAN_POINTS)
-        e_h = gauge.elasticity(ys)
-        ok = 1.0 - e_h > 0.0
-        if np.all(ok):
-            break
-        bad = np.nonzero(~ok)[0]
-        if bad[-1] == len(ys) - 1:
-            y1 = y1 / 4.0
-        else:
-            y1 = ys[bad[-1]]  # largest failing point; keep scales below it
-            y1 = y1 * 0.999
-    else:
-        raise ConstructionError("could not detect a monotone subdomain for H")
+    # a pure power has H = y**D, increasing on the whole domain
+    y1 = gauge.domain_upper if gauge.is_pure_power else _monotone_top(gauge)
     H_y1 = y1 / gauge.h(y1)
     valid_from = max(1.0 / gauge.domain_upper, 1.0 / H_y1)
+    if valid_from == math.inf:
+        raise ConstructionError("domain_upper %g too small" % gauge.domain_upper)
     ln_H_floor = _ln_H(gauge, float(D), np.array([_U_FLOOR]))[0][0]
     return DerivedFunctions(gauge=gauge, D=float(D), y1=float(y1),
                             valid_from=float(valid_from), H_y1=float(H_y1),

@@ -93,9 +93,9 @@ def _volume_and_count(string: FractalString, eps: np.ndarray):
     return string.tail_sum_beyond_index(j) + 2.0 * eps * count, count
 
 
-def trailing_third(values: np.ndarray) -> np.ndarray:
+def trailing_third(values):
     """The samples that stand in for the limit: the last third, at least 3."""
-    return values[-max(3, values.size // 3):]
+    return values[-max(3, len(values) // 3):]
 
 
 def trailing_extremes(values: np.ndarray, scales: np.ndarray):
@@ -106,14 +106,20 @@ def trailing_extremes(values: np.ndarray, scales: np.ndarray):
     out instead of aliasing into a trend, as the centred least-squares
     ratio; it is inf unless every sample is positive and finite.
     """
-    tail = trailing_third(values)
-    if np.all(values > 0) and np.all(np.isfinite(values)):
-        x, y = np.log(scales), np.log(values)
-        x = x - x.mean()
-        slope = float(np.dot(x, y - y.mean()) / np.dot(x, x))
-    else:
-        slope = math.inf
-    return float(np.min(tail)), float(np.max(tail)), slope
+    samples = values.tolist()
+    tail = trailing_third(samples)
+    if not all(0.0 < v < math.inf for v in samples):
+        # numpy's extremes, unlike min and max, propagate a NaN
+        return float(np.min(tail)), float(np.max(tail)), math.inf
+    x = list(map(math.log, scales.tolist()))
+    return min(tail), max(tail), _slope(x, list(map(math.log, samples)))
+
+
+def _slope(x: list, y: list) -> float:
+    """Least-squares slope of y on x, the centred ratio of two fsums."""
+    mx, my = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [a - mx for a in x]
+    return math.fsum(a * (b - my) for a, b in zip(dx, y)) / math.fsum(a * a for a in dx)
 
 
 def _estimate(ratios: np.ndarray, scales: np.ndarray,
@@ -189,8 +195,7 @@ def dimension_estimate(string: FractalString, grid: ScaleGrid) -> float:
     y = np.log(volumes[sl])
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         raise NumericError("degenerate regression for dimension estimate")
-    slope = float(np.polyfit(x, y, 1)[0])
-    return 1.0 - slope
+    return 1.0 - _slope(x.tolist(), y.tolist())
 
 
 def cantor_grid() -> ScaleGrid:

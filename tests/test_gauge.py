@@ -248,6 +248,8 @@ def test_make_derived_validates_inputs():
         make_derived(power_log(0.5), 0.7)  # index mismatch
     with pytest.raises(ConstructionError):
         make_derived(power_log(0.0), 1.0)
+    with pytest.raises(ConstructionError, match="too small"):
+        make_derived(power_log(0.5, domain_upper=1e-310), 0.5)  # 1/y1 is inf
 
 
 def test_gauge_json_roundtrip():
@@ -279,3 +281,38 @@ def test_every_method_keeps_the_argument_shape(gauge, D):
             value = method(point)
             assert type(value) is float
             assert value == out[1, 2]
+
+
+def _scanned_y1(gauge):
+    # the monotone scan that make_derived ran for every gauge: the first y1
+    # of 8 geometric scans on which 1 - E_h is positive
+    y1 = gauge.domain_upper
+    for _ in range(8):
+        ys = np.geomspace(y1 * 1e-16, y1, 64)
+        ok = 1.0 - gauge.elasticity(ys) > 0.0
+        if np.all(ok):
+            return y1
+        bad = np.nonzero(~ok)[0]
+        y1 = y1 / 4.0 if bad[-1] == len(ys) - 1 else ys[bad[-1]] * 0.999
+    raise AssertionError("scan found no monotone subdomain")
+
+
+@pytest.mark.parametrize("upper", [1.0, 0.1, 0.05])
+@pytest.mark.parametrize("D", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_pure_power_make_derived_equals_the_scan(D, upper):
+    gauge = power_log(1.0 - D, domain_upper=upper)
+    d = make_derived(gauge, D)
+    y1 = _scanned_y1(gauge)
+    H_y1 = y1 / gauge.h(y1)
+    assert d.y1 == y1 == upper
+    assert d.H_y1 == H_y1
+    assert d.valid_from == max(1.0 / upper, 1.0 / H_y1)
+    # ln H at the smallest subnormal: D ln y, with ln ℓ = 0 for a pure power
+    assert d.ln_H_floor == D * math.log(5e-324)
+
+
+@pytest.mark.parametrize("rho, alphas, upper, cut", [(0.5, [-1.0], 0.5, 0.125),
+                                                     (0.3, [-2.0], 0.1, 0.025)])
+def test_log_gauge_make_derived_keeps_the_scan_cut(rho, alphas, upper, cut):
+    gauge = power_log(rho, alphas, domain_upper=upper)
+    assert make_derived(gauge, 1.0 - rho).y1 == _scanned_y1(gauge) == cut

@@ -7,7 +7,7 @@ from fractal_strings import (DomainError, ExplicitString, ScaleGrid,
                              cantor_grid, content_estimates,
                              dimension_estimate, make_a_string, make_cantor,
                              make_interval, power_log, tube_volume)
-from fractal_strings.geometry import trailing_extremes
+from fractal_strings.geometry import _estimate, classify_ratio, trailing_extremes
 
 
 def test_scale_grid_validation():
@@ -138,6 +138,51 @@ def test_drift_slope_equals_polyfit():
         fit = np.polyfit(x, np.log(values), 1)[0]
         assert slope == pytest.approx(fit, rel=1e-12, abs=1e-15)
     assert trailing_extremes(np.array([1.0, 0.0] * 5), np.geomspace(1.0, 1e-9, 10))[2] == math.inf
+
+
+@pytest.mark.parametrize("string, grid", [
+    (make_cantor(), ScaleGrid.geometric(0.01, 0.6, 25)),
+    (make_a_string(1.0), ScaleGrid.geometric(0.01, 0.5, 15))])
+def test_dimension_estimate_slope_equals_polyfit(string, grid):
+    # numpy's degree-1 fit over the trailing two-thirds of the log-log volumes
+    scales = np.sort(grid.scales)[::-1][grid.scales.size // 3:]
+    fit = np.polyfit(np.log(scales), np.log(tube_volume(string, scales)), 1)[0]
+    assert 1.0 - dimension_estimate(string, grid) == pytest.approx(fit, rel=1e-12)
+
+
+_EDGE = [1.0 + 0.001 * k for k in range(12)]  # trailing third: indices 8..11
+
+
+def _edge(**at):
+    return np.array([at.get("i%d" % k, v) for k, v in enumerate(_EDGE)])
+
+
+# (samples, lower, upper, classify_ratio verdict), as the numpy extremes gave
+# them; _estimate says "degenerate" for each, and every drift slope is inf
+_EDGE_CASES = [
+    (_edge(i8=math.nan), math.nan, math.nan, "neither"),
+    (_edge(i10=math.nan), math.nan, math.nan, "neither"),
+    (_edge(i11=math.nan), math.nan, math.nan, "neither"),
+    (_edge(i9=math.nan, i10=math.inf), math.nan, math.nan, "neither"),
+    (_edge(i2=math.nan), _EDGE[8], _EDGE[11], "equivalent"),
+    (_edge(i9=math.inf), _EDGE[8], math.inf, "neither"),
+    (_edge(i9=-math.inf), -math.inf, _EDGE[11], "neither"),
+    (_edge(i1=math.inf), _EDGE[8], _EDGE[11], "equivalent"),
+    (_edge(i1=-math.inf), _EDGE[8], _EDGE[11], "equivalent"),
+    (_edge(i10=0.0), 0.0, _EDGE[11], "neither"),
+    (_edge(i3=0.0), _EDGE[8], _EDGE[11], "equivalent"),
+]
+
+
+@pytest.mark.parametrize("samples, lower, upper, verdict", _EDGE_CASES)
+def test_classifiers_at_nan_inf_and_zero_samples(samples, lower, upper, verdict):
+    grid = ScaleGrid.geometric(1.0, 0.5, 12)
+    for got, want in ((classify_ratio(samples, np.ones(12), grid), verdict),
+                      (_estimate(samples, grid.scales, 0.02), "degenerate")):
+        assert got.verdict == want
+        assert got.drift_slope == math.inf
+        for value, expected in ((got.lower, lower), (got.upper, upper)):
+            assert value == expected or (math.isnan(value) and math.isnan(expected))
 
 
 def test_cantor_contents_oscillate_without_drift():

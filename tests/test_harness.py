@@ -231,6 +231,29 @@ def test_cli_verify_bundled_example(capsys):
     assert out["report"]["part2_consistent"] is True
 
 
+def test_cli_verify_writes_the_report_as_one_line(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify", "a_string_1", "--example", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    cfg = bundled_examples()["a_string_1"]
+    expected = {"config": cfg.to_json(), "report": run_verify(cfg).to_json()}
+    assert json.loads(text) == json.loads(json.dumps(expected))
+
+
+def test_cli_payload_holding_a_nan_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "zeta", lambda D: math.nan)
+    with pytest.raises(SystemExit) as exc:
+        main(["zeta", "--D", "0.5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    # the C encoder's message has no trailing ": nan"
+    assert json.loads(captured.err)["error"].startswith(
+        "Out of range float values are not JSON compliant")
+
+
 def test_cli_spectrum_csv(tmp_path, capsys):
     # nine lambdas from 1e4 to 1e6
     grids = {"lam0": 1e4, "lam_factor": 10.0 ** 0.25, "lam_n": 9}
