@@ -208,10 +208,11 @@ class DerivedFunctions:
 
 
 def _monotone_top(gauge: GaugeFunction) -> float:
-    """A y1 where H = y/h(y) rises on (0, y1]: 1 - E_h > 0 on a geometric scan."""
+    """A y1 where H = y/h(y) rises on (0, y1]: 1 - E_h > 0 on a geometric
+    scan, which starts no lower than the least positive double."""
     y1 = gauge.domain_upper
     for _ in range(8):
-        ys = np.geomspace(y1 * 1e-16, y1, _MONOTONE_SCAN_POINTS)
+        ys = np.geomspace(max(y1 * 1e-16, math.ulp(0.0)), y1, _MONOTONE_SCAN_POINTS)
         e_h = gauge.elasticity(ys)
         ok = 1.0 - e_h > 0.0
         if np.all(ok):

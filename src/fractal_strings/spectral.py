@@ -9,8 +9,9 @@ Floors are exact for the stored float lengths: where p = fl(l_j x) is an
 integer, the exact split l_j x = p + e (Dekker's TwoProduct with Veltkamp's
 splitting) decides which side of p the product lies on, and N is a Python
 int however large.  A unit-weight head's fraction sum is exact before its
-one rounding (see ``_unit_fraction_sum``); ``eigen_count`` forms no
-fractions at all.
+one rounding (see ``_unit_fraction_sum``).  Each string keeps its last
+x and that head's (N, head part of delta, j), so ``eigen_count`` and
+``packing_defect`` at one x read the head once.
 
 Two kernels take the head, the J(1/x) lengths with l_j x >= 1.  The direct
 kernel floors every head product.  An ``AnalyticString`` head longer than
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import io
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Sequence, Tuple
@@ -128,9 +130,9 @@ def _unit_fraction_sum(fracs, floors, ties) -> float:
     return math.fsum(limbs + ties.tolist())
 
 
-def _direct(vals: np.ndarray, mult, x: float, fractions: bool = True):
-    """(N, sum of {l_j x} or None without fractions, number of lengths)
-    over the lengths vals with multiplicities mult (None for unit weights).
+def _direct(vals: np.ndarray, mult, x: float):
+    """(N, sum of {l_j x}, number of lengths) over the lengths vals with
+    multiplicities mult (None for unit weights).
 
     A run-length head has Python-int multiplicities and at most ``depth``
     blocks: it keeps the weighted fsum.  A unit-weight head sums its
@@ -138,8 +140,6 @@ def _direct(vals: np.ndarray, mult, x: float, fractions: bool = True):
     """
     fracs, floors, at, err_floors, ties = _products(vals, x)
     n = _count(mult, floors, at, err_floors)
-    if not fractions:
-        return n, None, None
     fracs -= floors
     if mult is None:
         return n, _unit_fraction_sum(fracs, floors, ties), fracs.size
@@ -176,23 +176,23 @@ def _counts_reaching(string: AnalyticString, x: float, k: np.ndarray) -> np.ndar
     return c
 
 
-def _hyperbola(string: AnalyticString, x: float, head: int, fractions: bool):
-    """(N, sum_(j <= j1) {x l_j} - S or None without fractions, j1) by
-    Dirichlet's hyperbola method (see the module docstring), for an
-    analytic string whose head holds ``head`` lengths.  The lengths past
-    j1 have floor(x l_j) <= K1: the c_k - j1 count them."""
+def _hyperbola(string: AnalyticString, x: float, head: int):
+    """(N, sum_(j <= j1) {x l_j} - S, j1) by Dirichlet's hyperbola method
+    (see the module docstring), for an analytic string whose head holds
+    ``head`` lengths.  The lengths past j1 have floor(x l_j) <= K1: the
+    c_k - j1 count them."""
     K1 = min(int(x ** (1.0 / 3.0)), int(head ** (2.0 / 3.0)),
              int(x * string.length(_DIRECT_MAX + 1)))
     c = _counts_reaching(string, x, np.arange(1.0, K1 + 2.0))
     j1 = int(c[-1])
-    n, fracs, _ = _direct(string.head(j1), None, x, fractions)
+    n, fracs, _ = _direct(string.head(j1), None, x)
     s = sum(c[:-1].tolist()) - K1 * j1
-    return n + s, math.fsum((fracs, -s)) if fractions else None, j1
+    return n + s, math.fsum((fracs, -s)), j1
 
 
-def _heads(string: FractalString, xs: List[float], fractions: bool = True):
+def _heads(string: FractalString, xs: List[float]):
     """[(N, head part of delta(x), j)] for each x in xs, delta(x) = head
-    part + x * tail_sum_beyond_index(j); without fractions only N is formed.
+    part + x * tail_sum_beyond_index(j).
 
     The head holds the lengths above eps, just below 1/x: every length
     whose exact product with x reaches 1.  A length left out has
@@ -202,11 +202,24 @@ def _heads(string: FractalString, xs: List[float], fractions: bool = True):
     hyperbola kernel, which reads l_(_DIRECT_MAX + 1) from the prefix.
     """
     if not isinstance(string, AnalyticString):
-        return [_direct(*string.runs_above((1.0 / x) * _BELOW), x, fractions) for x in xs]
+        return [_direct(*string.runs_above((1.0 / x) * _BELOW), x) for x in xs]
     js = string.J([(1.0 / x) * _BELOW for x in xs]).tolist()
     lengths = string.head(min(max(js, default=0), _DIRECT_MAX + 1))
-    return [_hyperbola(string, x, j, fractions) if j > _DIRECT_MAX
-            else _direct(lengths[:j], None, x, fractions) for x, j in zip(xs, js)]
+    return [_hyperbola(string, x, j) if j > _DIRECT_MAX
+            else _direct(lengths[:j], None, x) for x, j in zip(xs, js)]
+
+
+# each live string's last x and its head: string -> (x, (N, head part, j))
+_LAST = weakref.WeakKeyDictionary()
+
+
+def _head_at(string: FractalString, x: float):
+    """_heads(string, [x])[0], read again only when x is not the string's
+    last x."""
+    last = _LAST.get(string)
+    if last is None or last[0] != x:
+        last = _LAST[string] = (x, _heads(string, [x])[0])
+    return last[1]
 
 
 def _positive(value: float, name: str) -> None:
@@ -215,9 +228,10 @@ def _positive(value: float, name: str) -> None:
 
 
 def eigen_count(string: FractalString, lam: float) -> int:
-    """N(lambda) = sum_j floor(l_j sqrt(lambda)/pi), as an exact int."""
+    """N(lambda) = sum_j floor(l_j sqrt(lambda)/pi), as an exact int; the
+    head is kept for a packing_defect at x = sqrt(lambda)/pi."""
     _positive(lam, "lambda")
-    return _heads(string, [math.sqrt(lam) / math.pi], fractions=False)[0][0]
+    return _head_at(string, math.sqrt(lam) / math.pi)[0]
 
 
 def weyl_term(string: FractalString, lam: float) -> float:
@@ -228,9 +242,10 @@ def weyl_term(string: FractalString, lam: float) -> float:
 
 def packing_defect(string: FractalString, x: float) -> float:
     """delta(x) = sum_j {l_j x}: the head part and an exact tail
-    x * sum_{j > j_head} l_j."""
+    x * sum_{j > j_head} l_j; the head of the eigen_count before it at
+    the same x is not read again."""
     _positive(x, "x")
-    (_, head, j), = _heads(string, [x])
+    _, head, j = _head_at(string, x)
     return head + x * string.tail_sum_beyond_index(j)
 
 

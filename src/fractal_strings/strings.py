@@ -363,14 +363,12 @@ class AnalyticString(FractalString):
     to real approximations of the j solving l_j = eps.  ``J`` tests the
     floors j of all of them in one length_fn call, at l_1 and at j - 1, j
     and j + 1: j passes when l_j > eps >= l_(j+1), and j - 1 when
-    l_(j-1) > eps >= l_j (a tie that the hint rounded up onto).  For an
-    array of eps the tests are numpy masks over the whole array, and only
+    l_(j-1) > eps >= l_j (a tie that the hint rounded up onto).  The tests
+    are numpy masks over the whole eps array, one eps included, and only
     the starts that fail them gallop outward to a bracket.  The gallops read
     the lengths at j - 64, ..., j + 64 of every such start, taken in one
     length_fn call, and a step past that window calls ``length``; with the
-    exact inverse as hint, as for ``make_profile``, that is rare.  One eps,
-    alone or in a one-element array, takes the same tests on Python floats,
-    at half the cost of the masks, and gallops by scalar evaluations.
+    exact inverse as hint, as for ``make_profile``, that is rare.
 
     Below 2^53, ``J`` is exact: the largest j with l_j > eps.  Past 2^53,
     float(j) merges neighbouring indices and the float profile carries
@@ -430,8 +428,6 @@ class AnalyticString(FractalString):
 
     def J(self, eps):
         e = np.asarray(eps, dtype=float)
-        if e.size == 1:
-            return _shaped(np.array([self._J_one(e)], dtype=object), e.shape)
         x = e.ravel()
         # the lengths past the prefix are at most its last: an eps at or
         # above it is counted inside the prefix
@@ -447,7 +443,8 @@ class AnalyticString(FractalString):
         starts = np.maximum(np.floor(np.asarray(self._inv(x), dtype=float)), 1.0,
                             out=np.empty(x.size))
         big = starts >= _EXACT_INDEX
-        # j and s are integer floats, so j - s and j + s round as in _J_one
+        # j and s are integer floats: j - s and j + s round to the float
+        # nearest the exact index
         spans = np.where(big, np.floor(starts * 2.0 ** -43), 1.0)
         values = np.asarray(self._fn(np.concatenate(
             ([1.0], np.maximum(starts - spans, 1.0), starts, starts + spans))), dtype=float)
@@ -475,27 +472,6 @@ class AnalyticString(FractalString):
             out[i] = _gallop(lambda n: row[n - j + _WINDOW] if abs(n - j) <= _WINDOW
                              else self.length(n) > eps, j)
         return out
-
-    def _J_one(self, e: np.ndarray) -> int:
-        """J of a one-element eps array: from the prefix, or by the tests on
-        Python floats."""
-        eps = e.item()
-        if eps >= self._last:
-            return int(_count_above(self._prefix, eps))
-        j = max(1, int(np.asarray(self._inv(e.ravel()), dtype=float).flat[0]))
-        s = j >> 43 if j >= _EXACT_INDEX else 1
-        index = np.array([1.0, max(1, j - s), j, j + s], dtype=float)
-        l1, lo, mid, hi = np.asarray(self._fn(index), dtype=float).tolist()
-        if eps >= l1:
-            return 0
-        if j < _EXACT_INDEX:
-            if mid > eps >= hi:
-                return j
-            if lo > eps >= mid:
-                return j - 1  # the hint rounded up onto a tie l_j = eps
-        elif lo > eps >= hi:
-            return j
-        return _gallop(lambda n: self.length(n) > eps, j)
 
     def runs_above(self, eps: float):
         return self.head(self.J(eps)), None

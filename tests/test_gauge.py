@@ -252,6 +252,20 @@ def test_make_derived_validates_inputs():
         make_derived(power_log(0.5, domain_upper=1e-310), 0.5)  # 1/y1 is inf
 
 
+@pytest.mark.parametrize("domain_upper, builds", [(1e-310, False), (1e-308, True),
+                                                  (3e-308, True)])
+def test_log_gauge_scan_below_the_least_normal_double(domain_upper, builds):
+    # y1 * 1e-16 underflows to 0 at the first two, and to the least
+    # subnormal at the third: the log gauge's monotone scan must still end
+    # in a build or in make_derived's own domain_upper check
+    gauge = power_log(0.5, [1.0], domain_upper=domain_upper)
+    if builds:
+        assert make_derived(gauge, 0.5).y1 == domain_upper
+    else:
+        with pytest.raises(ConstructionError, match="domain_upper"):
+            make_derived(gauge, 0.5)
+
+
 def test_gauge_json_roundtrip():
     g = power_log(0.45, [1.0, 2.0], domain_upper=0.01)
     spec = gauge_to_json(g)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -178,9 +180,9 @@ def _fraction(l, x):
     return e - math.floor(e)
 
 
-def _head(string, x, fractions=True):
+def _head(string, x):
     """The head of one x, from the grid driver."""
-    return spectral._heads(string, [x], fractions)[0]
+    return spectral._heads(string, [x])[0]
 
 
 def _direct_head(string, x):
@@ -253,9 +255,10 @@ def test_hyperbola_kernel_equals_the_direct_kernel(monkeypatch, name):
                         lambda s, x, k: ks.append(k.size) or counts_reaching(s, x, k))
     xs.append(x_top)
     heads = 0
-    # the whole grid from one driver call, with and without fractions
-    for x, (n, head, j), (count, _, _) in zip(xs, spectral._heads(string, xs),
-                                              spectral._heads(string, xs, fractions=False)):
+    # the whole grid from one driver call, and each x alone as eigen_count
+    # reads it
+    for x, (n, head, j) in zip(xs, spectral._heads(string, xs)):
+        count = spectral._head_at(string, x)[0]
         n_direct, head_direct, j_direct = _direct_head(string, x)
         if j_direct <= spectral._DIRECT_MAX:
             continue
@@ -325,7 +328,7 @@ def test_deep_count_reads_the_prefix_and_few_other_lengths():
     assert string._prefix.size == strings._PREFIX == spectral._DIRECT_MAX + 1
     assert int(x * string.length(strings._PREFIX)) == 296
     del sizes[:]
-    assert eigen_count(string, lam) == n == _direct_head(_sweep_profile(), x)[0]
+    assert _head(string, x)[0] == n == _direct_head(_sweep_profile(), x)[0]
     assert 0 < max(sizes) <= 4 * (296 + 2)
 
 
@@ -410,6 +413,68 @@ def test_count_and_defect_equal_spectral_point(name, string):
         assert weyl_term(string, lam) == phi
         assert packing_defect(string, x) == delta
         assert (n == 0) == (lam == 5.0)
+
+
+_SWEEP_STRINGS = {"cantor": make_cantor,
+                  "explicit": lambda: make_a_string(1.0).truncate(10 ** 5),
+                  "profile": _sweep_profile}
+
+
+def _x(lam):
+    return math.sqrt(lam) / math.pi
+
+
+def _bits(value):
+    return (type(value), value.hex() if isinstance(value, float) else value)
+
+
+def test_memo_reads_equal_reads_on_fresh_strings():
+    # ("N", lambda) is an eigen_count, ("delta", x) a packing_defect: repeats,
+    # a count and a defect at one x, x one ulp apart, heads on both sides of
+    # _DIRECT_MAX, an empty head, and two strings interleaved
+    x22 = _x(1e22)
+    up, down = float(np.nextafter(x22, math.inf)), float(np.nextafter(x22, 0.0))
+    calls = [("profile", "N", 1e22), ("profile", "delta", x22), ("profile", "delta", x22),
+             ("profile", "N", 1e22), ("profile", "delta", up), ("profile", "delta", down),
+             ("profile", "N", 1e22), ("profile", "N", 1e24), ("profile", "delta", _x(1e24)),
+             ("explicit", "N", 1e18), ("profile", "delta", _x(1e18)),
+             ("explicit", "delta", _x(1e18)), ("profile", "N", 1e18),
+             ("explicit", "delta", x22), ("explicit", "N", 1e22), ("explicit", "N", 5.0),
+             ("cantor", "N", 2.6210350237577547e25), ("explicit", "delta", _x(5.0)),
+             ("cantor", "delta", _x(2.6210350237577547e25)), ("cantor", "N", 1e12),
+             ("cantor", "delta", _x(1e12)), ("cantor", "N", 2.6210350237577547e25)]
+    live = {name: make() for name, make in _SWEEP_STRINGS.items()}
+    read = {"N": eigen_count, "delta": packing_defect}
+    for name, kind, arg in calls:
+        got = read[kind](live[name], arg)
+        fresh = read[kind](_SWEEP_STRINGS[name](), arg)
+        assert _bits(got) == _bits(fresh), (name, kind, arg)
+
+
+def test_count_then_defect_at_one_lambda_read_one_head(monkeypatch):
+    sizes = []
+    heads = spectral._heads
+    monkeypatch.setattr(spectral, "_heads",
+                        lambda string, xs: sizes.append(len(xs)) or heads(string, xs))
+    for make in _SWEEP_STRINGS.values():
+        string = make()
+        for lam in (1e12, 1e22, 1e24):
+            del sizes[:]
+            eigen_count(string, lam)
+            packing_defect(string, _x(lam))
+            assert sizes == [1]
+            packing_defect(string, float(np.nextafter(_x(lam), 0.0)))
+            assert sizes == [1, 1]
+
+
+def test_memo_holds_no_entry_after_its_string_is_gone(monkeypatch):
+    monkeypatch.setattr(spectral, "_LAST", weakref.WeakKeyDictionary())
+    string = _sweep_profile()
+    eigen_count(string, 1e22)
+    assert list(spectral._LAST.keys()) == [string]
+    del string
+    gc.collect()
+    assert len(spectral._LAST) == 0
 
 
 def test_second_term_probe_reads_one_head_and_one_tail(monkeypatch):
