@@ -11,7 +11,6 @@ come from the trailing third of its samples.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,7 +165,9 @@ def content_estimates(string: FractalString, gauge: GaugeFunction,
     """(Minkowski, S) estimates: V(eps)/h(eps) and 2 J(2 eps)/h'(eps),
     both from one J(2 eps) call over the grid.
 
-    Scales where h' vanishes are left out of the S samples, with a warning.
+    The S samples leave out the scales outside the string, where
+    J(2 eps) = 0 (2 eps >= l_1), and those where h' vanishes: the S
+    verdict's scales are the ones kept.
     """
     scales = grid.scales
     if scales.max() > gauge.domain_upper:
@@ -174,11 +175,9 @@ def content_estimates(string: FractalString, gauge: GaugeFunction,
     volumes, counts = _volume_and_count(string, scales)
     mink = _estimate(volumes / gauge.h(scales), scales, band)
     dh = gauge.dh(scales)
-    keep = dh != 0.0
-    if not np.all(keep):
-        warnings.warn("content_estimates: skipped scales where h' vanishes")
+    keep = (dh != 0.0) & (counts > 0.0)
     if not np.any(keep):
-        raise NumericError("h' vanishes at every sampled scale")
+        raise NumericError("J(2 eps) or h' vanishes at every sampled scale")
     sest = _estimate(2.0 * counts[keep] / dh[keep], scales[keep], band)
     return mink, sest
 

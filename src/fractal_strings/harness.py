@@ -158,7 +158,12 @@ def run_verify(config: ExperimentConfig) -> VerificationReport:
     assertions: Dict[str, AssertionResult] = {}
 
     # (i)/(vi) Minkowski content, (ii)/(vii) S-content: nondegenerate, measurable
-    mink, sest = content_estimates(string, gauge, config.eps_grid(), band=band)
+    grid = config.eps_grid()
+    mink, sest = content_estimates(string, gauge, grid, band=band)
+    skipped = grid.scales.size - sest.scales.size
+    if skipped:
+        flags.append("skipped-scales: %d of %d S samples left out, where J(2 eps) "
+                     "or h' vanishes" % (skipped, grid.scales.size))
     for est, name, part1, part2 in ((mink, "h-Minkowski", "i", "vi"),
                                     (sest, "h'-S", "ii", "vii")):
         bounds = {"lower": est.lower, "upper": est.upper}

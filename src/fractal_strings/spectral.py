@@ -14,30 +14,31 @@ x and that head's (N, head part of delta, j), so ``eigen_count`` and
 ``packing_defect`` at one x read the head once.
 
 Two kernels take the head, the J(1/x) lengths with l_j x >= 1.  The direct
-kernel floors every head product.  An ``AnalyticString`` head longer than
-``_DIRECT_MAX`` = 2^15 lengths takes Dirichlet's hyperbola method instead
+kernel floors every head product, as run-length heads (at most ``depth``
+blocks) always do.  A unit-weight head longer than ``_DIRECT_MAX`` = 2^15
+lengths, stored or analytic, takes Dirichlet's hyperbola method instead
 (Tenenbaum, Introduction to Analytic and Probabilistic Number Theory,
-I.3.2).  With c_k = #{j : x l_j >= k}, P = _DIRECT_MAX,
+I.3.2).  With c_k = #{j : x l_j >= k}, exact from one ``J`` call on k/x,
+any K1 >= 0 and any j1 past which no length reaches K1 + 1,
 
-    K1 = min(floor(x^(1/3)), floor(head^(2/3)), floor(x l_(P+1)))
+    N = sum_(j <= j1) floor(x l_j) + S,   S = sum_(k <= K1) max(c_k - j1, 0),
+    delta(x) = sum_(j <= j1) {x l_j} + x tail(j1) - S.
 
-and j1 = c_(K1+1),
-
-    N = sum_(j <= j1) floor(x l_j) + S,   S = sum_(k <= K1) (c_k - j1),
-    delta(x) = sum_(j <= j1) {x l_j} + x tail(j1) - S,
-
-from one ``J`` call on k/x and j1 + 2 K1 further lengths; the split holds
-for any K1 >= 0.  For l_j ~ j^(-1/D), j1 is about x^(2D/3) where the
-direct head holds about x^D; head^(2/3) keeps the lengths taken fewer than
-the head's below D = 1/2, and x l_(P+1), where it binds, keeps j1 <= P, a
-slice of the string's stored prefix (K1 = 296, not 6827, for l_j = j^-2
-at lambda = 1e24).  The c_k are exact (see ``_counts_reaching``), so N is
-the same int; delta is formed apart from N, so phi - N = delta stays a
-check.  Explicit and run-length strings keep the direct kernel: their head
-is a slice of lengths already in memory, and it is the hyperbola kernel's
-oracle in the tests.  Lengths never increase, so over a lambda grid each
-head is a prefix of the longest: ``spectral_points`` reads the grid with
-one ``J`` call, one prefix slice and one ``tail_sum_beyond_index`` call.
+K1 balances the counts against the direct lengths.  Where every length is
+stored, a count costs about ``_COUNT_COST`` direct lengths: K1 =
+min(floor(x^(1/3) / _COUNT_COST), floor(head^(2/3))) and j1 = c_(K1+1), so
+a 10^5-length head at lambda = 1e22 takes 199 counts and 12 646 lengths.
+An analytic string keeps K1 = min(floor(x^(1/3)), floor(head^(2/3)),
+floor(x l_(P+1))), P = _DIRECT_MAX.  Where the last term binds, no length
+past the stored prefix reaches K1 + 1, so j1 = P: only the counts evaluate
+the profile (K1 = 296, not 6827, for l_j = j^-2 at lambda = 1e24), and
+every such head shares tail(P), kept once per string; else j1 = c_(K1+1).
+For l_j ~ j^(-1/D), j1 is about x^(2D/3) where the direct head holds about
+x^D.  N is the same int; delta is formed apart from N, so phi - N = delta
+stays a check, and the direct kernel is the hyperbola kernel's oracle in
+the tests.  Lengths never increase, so over a lambda grid each head is a
+prefix of the longest: ``spectral_points`` reads the grid with one ``J``
+call, one prefix slice and one ``tail_sum_beyond_index`` call.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .gauge import DerivedFunctions
-from .strings import AnalyticString, FractalString, _gallop
+from .strings import FractalString
 
 _SPLITTER = 2.0 ** 27 + 1.0  # Veltkamp: a double splits into two 26-bit halves
 
@@ -74,8 +75,13 @@ def _product_error(a, b):
 # _SLICE lengths at a time (see _unit_fraction_sum)
 _LIMB = 2.0 ** 27
 _SLICE = 1 << 26
-# an analytic head longer than this takes the hyperbola kernel
+# a unit-weight head longer than this takes the hyperbola kernel
 _DIRECT_MAX = 2 ** 15
+# a count over stored lengths costs about as many direct lengths (80 against
+# 4.5 ns): the 10^5-length explicit head at lambda = 1e22 takes about 480 us
+# direct, 455 us at K1 = x^(1/3), 110-180 at x^(1/3)/8 and 100-150 at
+# x^(1/3)/16 (Python 3.11, numpy 2.4, shared 2-core x86-64)
+_COUNT_COST = 16
 _BELOW = 1.0 - 2.0 ** -50  # a head holds the lengths above (1/x) * _BELOW
 _NO_TIES = np.empty(0)  # the e of a head whose products miss every integer
 
@@ -158,35 +164,38 @@ def _reaches(lengths, x: float, k):
     return reach
 
 
-def _counts_reaching(string: AnalyticString, x: float, k: np.ndarray) -> np.ndarray:
+def _counts_reaching(string: FractalString, x: float, k: np.ndarray) -> np.ndarray:
     """c_k = #{j : x l_j >= k} for an array of integers k, as int64.
 
-    J(k/x) counts the lengths above fl(k/x), and below 2^53 each of them
-    reaches k.  One length call at c_k and c_k + 1 tests the exact
-    products; where the test fails, as where lengths equal to fl(k/x)
-    reach k too, the count gallops to its boundary on the exact test.
+    No double lies strictly between k/x and q = fl(k/x), so a length
+    reaches k exactly when it is above q, or equal to q where x q >= k.
+    c_k is then J just below q or J(q): one J call, exact wherever J is.
     """
-    c = string.J(k / x).astype(np.int64)
-    lo, hi = string.length(np.concatenate((np.maximum(c, 1), c + 1))).reshape(2, -1)
-    wrong = ~(((c == 0) | _reaches(lo, x, k)) & ~_reaches(hi, x, k))
-    for i in np.flatnonzero(wrong).tolist():
-        def reaches(j, kk=float(k[i])):
-            return _reaches(string.length(j), x, kk)
-        c[i] = _gallop(reaches, max(int(c[i]), 1)) if reaches(1) else 0
-    return c
+    q = k / x
+    return string.J(np.where(_reaches(q, x, k), np.nextafter(q, 0.0), q)).astype(np.int64)
 
 
-def _hyperbola(string: AnalyticString, x: float, head: int):
+def _hyperbola(string: FractalString, x: float, head: int):
     """(N, sum_(j <= j1) {x l_j} - S, j1) by Dirichlet's hyperbola method
-    (see the module docstring), for an analytic string whose head holds
-    ``head`` lengths.  The lengths past j1 have floor(x l_j) <= K1: the
-    c_k - j1 count them."""
-    K1 = min(int(x ** (1.0 / 3.0)), int(head ** (2.0 / 3.0)),
-             int(x * string.length(_DIRECT_MAX + 1)))
-    c = _counts_reaching(string, x, np.arange(1.0, K1 + 2.0))
-    j1 = int(c[-1])
+    (see the module docstring), for a unit-weight string whose head holds
+    ``head`` lengths.  No length past j1 has floor(x l_j) > K1, and the
+    max(c_k - j1, 0) count those that reach k."""
+    K1 = int(head ** (2.0 / 3.0))
+    if string.count() is not None:
+        # every length is stored, and a count is one searchsorted
+        K1, cap = min(K1, int(x ** (1.0 / 3.0) / _COUNT_COST)), math.inf
+    else:
+        cap = int(x * string.head(_DIRECT_MAX + 1)[-1])
+        K1 = min(K1, int(x ** (1.0 / 3.0)))
+    if cap <= K1:
+        # no length past the stored prefix reaches cap + 1: split there
+        K1, j1 = cap, _DIRECT_MAX
+        c = _counts_reaching(string, x, np.arange(1.0, K1 + 1.0))
+    else:
+        c = _counts_reaching(string, x, np.arange(1.0, K1 + 2.0))
+        j1, c = int(c[-1]), c[:-1]
     n, fracs, _ = _direct(string.head(j1), None, x)
-    s = sum(c[:-1].tolist()) - K1 * j1
+    s = sum(np.maximum(c - j1, 0).tolist())
     return n + s, math.fsum((fracs, -s)), j1
 
 
@@ -196,14 +205,15 @@ def _heads(string: FractalString, xs: List[float]):
 
     The head holds the lengths above eps, just below 1/x: every length
     whose exact product with x reaches 1.  A length left out has
-    floor(l_j x) = 0 and {l_j x} = l_j x.  A stored head is one runs_above
-    slice; analytic heads of up to _DIRECT_MAX lengths are slices of the
-    string's stored prefix after one J call, and a longer one takes the
-    hyperbola kernel, which reads l_(_DIRECT_MAX + 1) from the prefix.
+    floor(l_j x) = 0 and {l_j x} = l_j x.  A run-length head is one
+    runs_above slice.  Unit-weight heads of up to _DIRECT_MAX lengths are
+    slices of the stored lengths after one J call, and a longer one takes
+    the hyperbola kernel.
     """
-    if not isinstance(string, AnalyticString):
-        return [_direct(*string.runs_above((1.0 / x) * _BELOW), x) for x in xs]
-    js = string.J([(1.0 / x) * _BELOW for x in xs]).tolist()
+    eps = [(1.0 / x) * _BELOW for x in xs]
+    if not string.unit_weight:
+        return [_direct(*string.runs_above(e), x) for e, x in zip(eps, xs)]
+    js = string.J(eps).tolist()
     lengths = string.head(min(max(js, default=0), _DIRECT_MAX + 1))
     return [_hyperbola(string, x, j) if j > _DIRECT_MAX
             else _direct(lengths[:j], None, x) for x, j in zip(xs, js)]
@@ -211,6 +221,8 @@ def _heads(string: FractalString, xs: List[float]):
 
 # each live string's last x and its head: string -> (x, (N, head part, j))
 _LAST = weakref.WeakKeyDictionary()
+# each live profile's tail beyond _DIRECT_MAX, the tail of every head split there
+_SPLIT_TAIL = weakref.WeakKeyDictionary()
 
 
 def _head_at(string: FractalString, x: float):
@@ -220,6 +232,15 @@ def _head_at(string: FractalString, x: float):
     if last is None or last[0] != x:
         last = _LAST[string] = (x, _heads(string, [x])[0])
     return last[1]
+
+
+def _tail(string: FractalString, j: int) -> float:
+    """string.tail_sum_beyond_index(j), read once per string at _DIRECT_MAX."""
+    if j != _DIRECT_MAX:
+        return string.tail_sum_beyond_index(j)
+    if string not in _SPLIT_TAIL:
+        _SPLIT_TAIL[string] = string.tail_sum_beyond_index(j)
+    return _SPLIT_TAIL[string]
 
 
 def _positive(value: float, name: str) -> None:
@@ -246,7 +267,7 @@ def packing_defect(string: FractalString, x: float) -> float:
     the same x is not read again."""
     _positive(x, "x")
     _, head, j = _head_at(string, x)
-    return head + x * string.tail_sum_beyond_index(j)
+    return head + x * _tail(string, j)
 
 
 def spectral_points(string: FractalString,

@@ -240,7 +240,15 @@ def _gallop(above: Callable[[int], bool], j: int) -> int:
 class FractalString:
     """Base interface: a non-increasing positive sequence l_1 >= l_2 >= ... ."""
 
+    # every length has weight 1; a string whose lengths carry multiplicities
+    # has no ``head`` and gives its heads as runs_above blocks
+    unit_weight = True
+
     def length(self, j):
+        raise NotImplementedError
+
+    def head(self, n: int) -> np.ndarray:
+        """l_1, ..., l_n of a unit-weight string, read-only."""
         raise NotImplementedError
 
     def J(self, eps):
@@ -281,8 +289,15 @@ class ExplicitString(FractalString):
         vals = np.sort(np.asarray(lengths, dtype=float))[::-1].copy()
         if vals.size == 0 or vals[-1] <= 0.0:
             raise ConstructionError("lengths must be positive and non-empty")
+        vals.flags.writeable = False
         self._vals = vals
         self._suffix = _compensated_suffix_sums(vals)
+
+    def head(self, n: int) -> np.ndarray:
+        """l_1, ..., l_n, or all of a shorter string: a stored slice."""
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        return self._vals[:n]
 
     def length(self, j):
         jj = np.asarray(j)
@@ -309,6 +324,8 @@ class ExplicitString(FractalString):
 
 
 class RunLengthString(FractalString):
+    unit_weight = False
+
     def __init__(self, blocks: Sequence[Tuple[float, int]]):
         if not blocks:
             raise ConstructionError("blocks must be non-empty")

@@ -56,7 +56,6 @@ def test_readme_spec_table_lists_exactly_the_readers_kinds_and_keys():
 # the private names a module may import from a sibling, (from, into, name): why
 _PRIVATE_IMPORTS = {
     ("gauge", "strings", "_shaped"): "one array-shape contract for every method",
-    ("strings", "spectral", "_gallop"): "the hyperbola kernel gallops to c_k as J does",
     ("strings", "karamata", "_em_tail_sum"): "one Euler-Maclaurin tail",
     ("strings", "karamata", "_panel_integral"): "one Gauss-Legendre integrator",
     ("spectral", "cli", "_positive"): "zeta's --L takes the check of lambda",

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fractal_strings import (DomainError, ExplicitString, ScaleGrid,
-                             cantor_grid, content_estimates,
+from fractal_strings import (DomainError, ExplicitString, NumericError,
+                             ScaleGrid, cantor_grid, content_estimates,
                              dimension_estimate, make_a_string, make_cantor,
                              make_interval, power_log, tube_volume)
 from fractal_strings.geometry import _estimate, classify_ratio, trailing_extremes
@@ -45,6 +45,19 @@ def test_boundary_count_is_twice_J():
     dh = g.dh(grid.scales)
     assert samples[0] == 2 * s.J(0.2) / dh[0]
     assert samples[1] == 6 / dh[1]
+
+
+def test_S_samples_leave_out_the_scales_outside_the_string(recwarn):
+    # 2 eps >= l_1 = 0.5 at the first two scales: J(2 eps) = 0 there
+    s = ExplicitString([0.5, 0.3, 0.1])
+    grid = ScaleGrid.geometric(0.5, 0.5, 12)
+    mink, se = content_estimates(s, power_log(0.5), grid)
+    assert np.array_equal(se.scales, grid.scales[2:])
+    assert np.array_equal(mink.scales, grid.scales)
+    assert np.all(se.values > 0.0) and math.isfinite(se.drift_slope)
+    with pytest.raises(NumericError, match="every sampled scale"):
+        content_estimates(s, power_log(0.5), ScaleGrid.geometric(1.0, 0.9, 9))
+    assert len(recwarn) == 0
 
 
 def test_positive_scale_required():

@@ -504,14 +504,30 @@ def test_cli_exit_code_for_construction_error(tmp_path, capsys, command,
 
 
 def test_cli_verify_writes_an_unfittable_drift_slope_as_null(tmp_path, capsys):
-    # J(1) = 0 makes the S sample at eps = 0.5 zero, which has no log-log fit
+    # h' = h/y (1/2 - 2/ln(1/y)) < 0 at eps = 0.1, 0.05 and 0.025 makes
+    # those S samples negative, which have no log-log fit
     payload = {"string": {"kind": "interval", "length": 1.0},
-               "gauge": A1_CONFIG["gauge"], "D": 0.5,
-               "grids": {"eps0": 0.5, "q": 0.5, "n": 12}}
+               "gauge": {"form": "powerlog", "rho": 0.5, "log_exponents": [2.0],
+                         "domain_upper": 0.1}, "D": 0.5,
+               "grids": {"eps0": 0.1, "q": 0.5, "n": 12}}
     assert main(["verify", _write_config(tmp_path, payload)]) == 0
     s_content = json.loads(capsys.readouterr().out)["report"]["assertions"]["ii"]
     assert s_content["verdict"] == "degenerate"
     assert s_content["evidence"]["drift_slope"] is None
+
+
+def test_scales_outside_the_string_are_left_out_of_the_S_samples():
+    # l_1 = 1/2: J(2 eps) = 0 at eps0 = 0.3 only, which once made (ii)/(vii)
+    # "degenerate" with both consistency flags
+    cfg = ExperimentConfig.from_json(dict(A1_CONFIG, grids={"eps0": 0.3}))
+    rep = run_verify(cfg)
+    for key in ("ii", "vii"):
+        assert rep.assertions[key].verdict == "measurable"
+    assert rep.assertions["ii"].evidence["drift_slope"] == pytest.approx(-0.0142, abs=1e-4)
+    assert rep.part1_consistent and rep.part2_consistent
+    assert rep.flags == ["skipped-scales: 1 of 31 S samples left out, where "
+                         "J(2 eps) or h' vanishes"]
+
 
 @pytest.mark.parametrize("name", ["profile_log_D0.3", "profile_log_D0.5",
                                   "profile_log_D0.7"])

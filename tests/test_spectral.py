@@ -226,6 +226,9 @@ def _clamped_profile():
 def _hyperbola_case(name):
     if name == "sweep_profile":
         return _sweep_profile(), 1e24
+    if name == "sweep_explicit":
+        # from lambda = 9.9e20 up the head is the whole string
+        return make_a_string(1.0).truncate(10 ** 5), 1e22
     if name == "clamped_profile":
         return _clamped_profile(), 1e25
     return bundled_examples()[name].build()[2], {"profile_log_D0.5": 1e19,
@@ -233,7 +236,7 @@ def _hyperbola_case(name):
 
 
 @pytest.mark.parametrize("name", ["sweep_profile", "profile_log_D0.5",
-                                  "a_string_0.5", "clamped_profile"])
+                                  "a_string_0.5", "clamped_profile", "sweep_explicit"])
 def test_hyperbola_kernel_equals_the_direct_kernel(monkeypatch, name):
     string, top = _hyperbola_case(name)
     x_top = math.sqrt(top) / math.pi
@@ -243,8 +246,8 @@ def test_hyperbola_kernel_equals_the_direct_kernel(monkeypatch, name):
         xs += [1e10, 1e10 * (1.0 + 2.0 ** -52)]
     else:
         assert (name == "profile_log_D0.5") == (string.length(1) == string.length(9))
-    # x l_(P+1) just below 1 with a head past P = 2^15: K1 = 0, and the
-    # count is the direct part alone
+    # x l_(P+1) just below 1 with a head past P = 2^15: on a profile K1 = 0,
+    # and the count is the direct part alone
     l_next = float(string.head(spectral._DIRECT_MAX + 1)[-1])
     xs.append(1.0 / l_next)
     while xs[-1] * l_next >= 1.0:
@@ -269,7 +272,8 @@ def test_hyperbola_kernel_equals_the_direct_kernel(monkeypatch, name):
         delta_direct = head_direct + x * string.tail_sum_beyond_index(j_direct)
         assert delta == pytest.approx(delta_direct, rel=1e-12, abs=0.0), (name, x)
         assert count == n
-    assert heads >= 4 and 1 in ks
+    # a stored string keeps K1 >= 1 there, and a profile splits at P with no count
+    assert heads >= 4 and (0 in ks) == (string.count() is None)
 
 
 def _inverse_square_string():
@@ -280,17 +284,92 @@ def _inverse_square_string():
 
 @pytest.mark.parametrize("x", [3600.0, 44100.0, 720720.0 ** 2])
 def test_counts_reaching_k_are_exact_at_ties(x):
-    string = _inverse_square_string()
+    profile = _inverse_square_string()
+    # the same fl(1/j^2) stored, 10^6 of them: past every head at these x
+    stored = ExplicitString(profile.length(np.arange(1, 10 ** 6 + 1)))
     k = np.arange(1.0, int(x ** (1.0 / 3.0)) + 2.0)
-    counts = spectral._counts_reaching(string, x, k)
-    assert counts.dtype == np.int64
-    # the boundaries that J(k/x) misplaces, all at ties l_j = fl(k/x)
-    assert (counts != string.J(k / x)).any()
-    for kk, c in zip(range(1, k.size + 1), counts.tolist()):
-        assert c == 0 or Fraction(string.length(c)) * Fraction(x) >= kk
-        assert Fraction(string.length(c + 1)) * Fraction(x) < kk
-    if x > 2 ** 30:
-        assert _head(string, x)[0] == _direct_head(string, x)[0]
+    for string in (profile, stored):
+        counts = spectral._counts_reaching(string, x, k)
+        assert counts.dtype == np.int64
+        # the boundaries that J(k/x) misplaces, all at ties l_j = fl(k/x)
+        assert (counts != string.J(k / x)).any()
+        for kk, c in zip(range(1, k.size + 1), counts.tolist()):
+            assert c == 0 or Fraction(string.length(c)) * Fraction(x) >= kk
+            assert Fraction(string.length(c + 1)) * Fraction(x) < kk
+        if x > 2 ** 30:
+            assert _head(string, x)[0] == _direct_head(string, x)[0]
+
+
+@pytest.mark.parametrize("lengths, x", [
+    # K1 = floor(x^(1/3) / _COUNT_COST) = 0: j1 = c_1, the whole string,
+    # and fl(1e-3) 1000 = 1 is a tie
+    (np.linspace(1e-3, 2e-3, 40000), 1000.0),
+    # K1 = 2, and every length reaches K1 + 1: each c_k is the size
+    (np.linspace(0.5, 1.0, 40000), 1e5),
+])
+def test_hyperbola_on_stored_lengths_at_its_edges(lengths, x):
+    string = ExplicitString(lengths)
+    n, head, j = _head(string, x)
+    n_direct, head_direct, j_direct = _direct_head(string, x)
+    assert j_direct == string.count() > spectral._DIRECT_MAX
+    assert (j, n, head) == (j_direct, n_direct, head_direct) and type(n) is int
+    assert n == sum(math.floor(Fraction(l) * Fraction(x)) for l in lengths.tolist())
+
+
+def test_split_at_the_prefix_keeps_one_tail_until_the_string_goes(monkeypatch):
+    monkeypatch.setattr(spectral, "_SPLIT_TAIL", weakref.WeakKeyDictionary())
+    string = _sweep_profile()
+    for lam in (1e22, 1e24):
+        x = _x(lam)
+        n, _, j = _head(string, x)
+        n_direct, head_direct, j_direct = _direct_head(string, x)
+        assert j == spectral._DIRECT_MAX < j_direct and n == n_direct
+        assert packing_defect(string, x) == pytest.approx(
+            head_direct + x * string.tail_sum_beyond_index(j_direct), rel=1e-12, abs=0.0)
+    fresh = _sweep_profile().tail_sum_beyond_index(spectral._DIRECT_MAX)
+    assert _bits(spectral._SPLIT_TAIL[string]) == _bits(fresh)
+    del string
+    gc.collect()
+    assert len(spectral._SPLIT_TAIL) == 0
+
+
+def test_split_where_the_products_at_the_prefix_end_round_up_onto_K1():
+    # l_(P-1) = l_P = l_(P+1) = c, and fl(x c) = 30 while the exact product
+    # stays below 30: K1 = 30, and c_30 = P - 2 counts no length past P
+    P = spectral._DIRECT_MAX
+    plateau = 1.0 / (P * P + 1.0)
+
+    def length_fn(j):
+        j = np.asarray(j, dtype=float)
+        return np.where(np.abs(j - P) <= 1.0, plateau, 1.0 / j ** 2)
+
+    string = AnalyticString(length_fn, lambda eps: np.asarray(eps) ** -0.5)
+    x = 30.0 / plateau
+    assert x * plateau == 30.0 and not spectral._reaches(plateau, x, 30.0)
+    assert spectral._counts_reaching(string, x, np.array([30.0])).tolist() == [P - 2]
+    assert _head(string, x)[0] == _direct_head(string, x)[0]
+
+
+def test_long_heads_read_few_products_and_one_split_tail(monkeypatch):
+    sizes, tails = [], []
+    products, em_tail_sum = spectral._products, strings._em_tail_sum
+    monkeypatch.setattr(spectral, "_products",
+                        lambda vals, x: sizes.append(vals.size) or products(vals, x))
+    # the sweep's explicit string at 1e22: a head of all 10^5 lengths
+    x = _x(1e22)
+    j = _head(make_a_string(1.0).truncate(10 ** 5), x)[2]
+    K1 = int(x ** (1.0 / 3.0) / spectral._COUNT_COST)
+    assert 0 < sum(sizes) <= j + 2 * (K1 + 1) < 10 ** 5 // 5
+    # the warmed sweep profile: the heads at 1e22 and 1e24 both split at
+    # _DIRECT_MAX, and share one Euler-Maclaurin tail
+    string = _sweep_profile()
+    string.head(strings._PREFIX)
+    monkeypatch.setattr(strings, "_em_tail_sum",
+                        lambda *args: tails.append(args[1]) or em_tail_sum(*args))
+    for lam in (1e22, 1e24):
+        eigen_count(string, lam)
+        packing_defect(string, _x(lam))
+    assert len(tails) == 1
 
 
 def _length_calls(string, cap=math.inf):
@@ -320,7 +399,8 @@ def test_deep_lambda_takes_no_long_length_call():
 def test_deep_count_reads_the_prefix_and_few_other_lengths():
     # after warm-up the prefix holds 2^15 + 1 lengths, and at 1e24 the
     # count takes K1 = floor(x l_(2^15 + 1)) = 296 rather than x^(1/3) =
-    # 6827: J tests 3 (K1 + 1) + 1 lengths and the counts 2 (K1 + 1)
+    # 6827: J over the grid tests 4 lengths, the counts' J 3 K1 + 1, and
+    # nothing else reads the profile
     string, sizes = _length_calls(_sweep_profile())
     lam = 1e24
     x = math.sqrt(lam) / math.pi
@@ -329,7 +409,7 @@ def test_deep_count_reads_the_prefix_and_few_other_lengths():
     assert int(x * string.length(strings._PREFIX)) == 296
     del sizes[:]
     assert _head(string, x)[0] == n == _direct_head(_sweep_profile(), x)[0]
-    assert 0 < max(sizes) <= 4 * (296 + 2)
+    assert sizes == [4, 3 * 296 + 1]
 
 
 @pytest.mark.parametrize("make", [_sweep_profile, _clamped_profile, _inverse_square_string])
