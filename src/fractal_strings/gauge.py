@@ -61,15 +61,22 @@ class GaugeFunction:
         both 0 for a pure power.  Pass u as -ln(y): 1/y overflows for
         subnormal y."""
         L = np.asarray(u, dtype=float)
-        ln_l = ela = 0.0 if self.log_exponents else np.zeros(L.shape)
-        prod = 1.0
-        for alpha in self.log_exponents:
+        ln_l, ela = self._levels(L) if self.log_exponents else (np.zeros(L.shape),) * 2
+        return _shaped(ln_l, L.shape), _shaped(ela, L.shape)
+
+    def _levels(self, L: np.ndarray):
+        """slowly_varying's arrays at a float array u = L of a power-log
+        gauge: the first level starts each sum, with no 0 + or 1 * pass."""
+        alpha, *deeper = self.log_exponents
+        ln_L = np.log(L)
+        ln_l, prod, ela = alpha * ln_L, L, -alpha / L
+        for alpha in deeper:
+            L = ln_L
             ln_L = np.log(L)
             ln_l = ln_l + alpha * ln_L
             prod = prod * L
             ela = ela - alpha / prod
-            L = ln_L
-        return _shaped(ln_l, L.shape), _shaped(ela, L.shape)
+        return ln_l, ela
 
     # -- evaluation ---------------------------------------------------------
 
@@ -120,7 +127,7 @@ def power_log(rho: float, log_exponents: Sequence[float] = (), domain_upper: Opt
 def _ln_H(gauge: GaugeFunction, D: float, u):
     """ln H and its slope d ln H/du = 1 - E_h at u = ln y, from one
     slowly_varying pass: (D u - ln ℓ, D - E_ℓ) at ln(1/y) = -u."""
-    ln_l, ela = gauge.slowly_varying(-u)
+    ln_l, ela = gauge._levels(-u) if gauge.log_exponents else (0.0, 0.0)
     return D * u - ln_l, D - ela
 
 
@@ -180,18 +187,18 @@ class DerivedFunctions:
         """
         u_hi = math.log(self.y1)
         u = np.minimum(np.maximum(ln_z / self.D, _U_FLOOR), u_hi)
-        previous = np.full(u.shape, math.inf)
+        half = np.full(u.shape, math.inf)  # half the previous relative step
         live = np.ones(u.shape, dtype=bool)
         for _ in range(_NEWTON_ITERATIONS):
             ln_H, slope = _ln_H(self.gauge, self.D, u)
             moved = np.minimum(np.maximum(u - (ln_H - ln_z) / slope, _U_FLOOR), u_hi)
             # the step actually taken: 0 where the clip holds u at y1
-            rel = np.abs(moved - u) / np.abs(moved)
+            rel = np.abs((moved - u) / moved)
             np.copyto(u, moved, where=live)
-            live &= ~((rel <= 4e-16) | ((rel <= 1e-12) & (rel > 0.5 * previous)))
+            live &= ~((rel <= 4e-16) | ((rel <= 1e-12) & (rel > half)))
             if not live.any():
                 return u
-            previous = rel
+            half = 0.5 * rel
         raise NumericError("H_inv: Newton did not settle within %d iterations"
                            % _NEWTON_ITERATIONS)
 

@@ -77,10 +77,14 @@ class ExperimentConfig:
         return object.__new__(cls)._settle(read(spec, _CONFIG))
 
     def build(self):
-        """(gauge, its derived functions at D, string) of this config."""
+        """(gauge, its derived functions at D, string) of this config; a
+        profile string of an equal gauge at the same D lends its own."""
         gauge = gauge_from_json(self.gauge_spec, "gauge")
         string = string_from_json(self.string_spec, "string")
-        return gauge, make_derived(gauge, self.D), string
+        derived = string.profile and string.profile[1]
+        if not derived or (derived.gauge, derived.D) != (gauge, self.D):
+            derived = make_derived(gauge, self.D)
+        return gauge, derived, string
 
     def to_json(self) -> dict:
         return {"string": self.string_spec, "gauge": self.gauge_spec,
@@ -184,8 +188,10 @@ def run_verify(config: ExperimentConfig) -> VerificationReport:
     L_hat = None
     if js.size >= 9:
         j_grid = ScaleGrid(scales=js.astype(float))
-        lengths = string.length(js)
         g_vals = derived.g(j_grid.scales)
+        # a profile over derived has l_j = L g(j) on the grid: one solve
+        lengths = (string.profile[0] * g_vals if string.profile and string.profile[1] is derived
+                   else string.length(js))
         assertions["iii"] = _ratio_assertion(
             "l_j against g(j)", lengths, g_vals, j_grid, band)
         L_hat = float(np.median(trailing_third(lengths / g_vals)))

@@ -15,30 +15,33 @@ x and that head's (N, head part of delta, j), so ``eigen_count`` and
 
 Two kernels take the head, the J(1/x) lengths with l_j x >= 1.  The direct
 kernel floors every head product, as run-length heads (at most ``depth``
-blocks) always do.  A unit-weight head longer than ``_DIRECT_MAX`` = 2^15
-lengths, stored or analytic, takes Dirichlet's hyperbola method instead
-(Tenenbaum, Introduction to Analytic and Probabilistic Number Theory,
-I.3.2).  With c_k = #{j : x l_j >= k}, exact from one ``J`` call on k/x,
-any K1 >= 0 and any j1 past which no length reaches K1 + 1,
+blocks) always do.  A longer unit-weight head may take Dirichlet's
+hyperbola method instead (Tenenbaum, Introduction to Analytic and
+Probabilistic Number Theory, I.3.2).  With c_k = #{j : x l_j >= k}, exact
+from one ``J`` call on k/x, any K1 >= 0 and any j1 past which no length
+reaches K1 + 1,
 
     N = sum_(j <= j1) floor(x l_j) + S,   S = sum_(k <= K1) max(c_k - j1, 0),
     delta(x) = sum_(j <= j1) {x l_j} + x tail(j1) - S.
 
-K1 balances the counts against the direct lengths.  Where every length is
-stored, a count costs about ``_COUNT_COST`` direct lengths: K1 =
-min(floor(x^(1/3) / _COUNT_COST), floor(head^(2/3))) and j1 = c_(K1+1), so
-a 10^5-length head at lambda = 1e22 takes 199 counts and 12 646 lengths.
-An analytic string keeps K1 = min(floor(x^(1/3)), floor(head^(2/3)),
-floor(x l_(P+1))), P = _DIRECT_MAX.  Where the last term binds, no length
-past the stored prefix reaches K1 + 1, so j1 = P: only the counts evaluate
-the profile (K1 = 296, not 6827, for l_j = j^-2 at lambda = 1e24), and
-every such head shares tail(P), kept once per string; else j1 = c_(K1+1).
-For l_j ~ j^(-1/D), j1 is about x^(2D/3) where the direct head holds about
-x^D.  N is the same int; delta is formed apart from N, so phi - N = delta
-stays a check, and the direct kernel is the hyperbola kernel's oracle in
-the tests.  Lengths never increase, so over a lambda grid each head is a
-prefix of the longest: ``spectral_points`` reads the grid with one ``J``
-call, one prefix slice and one ``tail_sum_beyond_index`` call.
+``_plan`` picks K1 and j1 from the string and x alone.  Where every length
+is stored, a head past _DIRECT_MAX = 2^15 takes K1 = min(floor(x^(1/3) /
+_COUNT_COST), floor(head^(2/3))), a count costing about _COUNT_COST direct
+lengths, and j1 = c_(K1+1).  An analytic string splits where it already
+holds lengths and tail: a head of 512 to 2^15 lengths at j1 = _SEED = 511
+(a profile's seed) if K1 = floor(x l_511) <= floor(head^(2/3)), else it
+stays direct; a longer one at j1 = P = 2^15 if K1 = floor(x l_(P+1)) <=
+min(floor(x^(1/3)), floor(head^(2/3))), sharing tail(P), kept once per
+string, else with K1 that minimum and j1 = c_(K1+1), about x^(2D/3) for
+l_j ~ j^(-1/D).  N is the direct kernel's int; delta is formed apart from
+N, so phi - N = delta stays a check.  x tail(j1) and S each exceed delta
+by about K1^(1-D), x^((1-D)/3) at K1 = x^(1/3), and their rounding and
+quadrature errors with them: a split's delta lies within 2^-47 (x tail(j1)
++ S + delta) of the direct kernel's (5.6e-13 relative on profile_log_D0.3
+at lambda = 1e30, where x tail(j1) = 214 delta).  Over a lambda grid,
+``spectral_points`` takes one ``J`` call for the heads, one for the counts
+of every split, one products pass over the direct parts of up to 2^15
+lengths, and one ``tail_sum_beyond_index`` call.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .gauge import DerivedFunctions
-from .strings import FractalString
+from .strings import _SEED, FractalString
 
 _SPLITTER = 2.0 ** 27 + 1.0  # Veltkamp: a double splits into two 26-bit halves
 
@@ -88,8 +91,9 @@ _NO_TIES = np.empty(0)  # the e of a head whose products miss every integer
 
 def _products(vals: np.ndarray, x: float):
     """(p, floor(p), tie indices, floor(e) and e - floor(e) at the ties)
-    for the lengths vals: p = fl(l_j x), and e with l_j x = p + e exactly
-    where p is an integer.  A head without ties forms no e.
+    for the lengths vals and x, a float or an array of vals' shape:
+    p = fl(l_j x), and e with l_j x = p + e exactly where p is an integer.
+    A head without ties forms no e.
 
     floor(p) is exact unless p is an integer, where the rounding may have
     crossed it; there p + floor(e) is.
@@ -97,7 +101,7 @@ def _products(vals: np.ndarray, x: float):
     p = vals * x
     floors = np.floor(p)
     at = np.flatnonzero(p == floors)
-    err = _product_error(vals[at], x) if at.size else _NO_TIES
+    err = _product_error(vals[at], x[at] if np.ndim(x) else x) if at.size else _NO_TIES
     err_floors = np.floor(err) if at.size else _NO_TIES
     return p, floors, at, err_floors, err - err_floors
 
@@ -153,19 +157,22 @@ def _direct(vals: np.ndarray, mult, x: float):
     return n, math.fsum(np.asarray(mult, dtype=float) * fracs), int(mult.sum())
 
 
-def _reaches(lengths, x: float, k):
-    """x l >= k exactly, for lengths l and integers k (arrays of one shape,
-    or floats); the exact product error is formed only where fl(x l) = k."""
+def _reaches(lengths, x, k):
+    """x l >= k exactly, for lengths l, integers k and x (arrays of one
+    shape, or floats); the exact product error is formed only where
+    fl(x l) = k."""
     p = np.asarray(lengths) * x
     reach = np.asarray(p > k)
     at = np.flatnonzero(p == k)
     if at.size:
-        reach.flat[at] = _product_error(np.ravel(lengths)[at], x) >= 0.0
+        xs = x[at] if np.ndim(x) else x
+        reach.flat[at] = _product_error(np.ravel(lengths)[at], xs) >= 0.0
     return reach
 
 
-def _counts_reaching(string: FractalString, x: float, k: np.ndarray) -> np.ndarray:
-    """c_k = #{j : x l_j >= k} for an array of integers k, as int64.
+def _counts_reaching(string: FractalString, x, k: np.ndarray) -> np.ndarray:
+    """c_k = #{j : x l_j >= k} for an array of integers k and x, a float
+    or an array of k's shape, as int64.
 
     No double lies strictly between k/x and q = fl(k/x), so a length
     reaches k exactly when it is above q, or equal to q where x q >= k.
@@ -175,24 +182,65 @@ def _counts_reaching(string: FractalString, x: float, k: np.ndarray) -> np.ndarr
     return string.J(np.where(_reaches(q, x, k), np.nextafter(q, 0.0), q)).astype(np.int64)
 
 
-def _hyperbola(string: FractalString, x: float, head: int):
-    """(N, sum_(j <= j1) {x l_j} - S, j1) by Dirichlet's hyperbola method
-    (see the module docstring), for a unit-weight string whose head holds
-    ``head`` lengths.  No length past j1 has floor(x l_j) > K1, and the
-    max(c_k - j1, 0) count those that reach k."""
+def _direct_pass(lengths: np.ndarray, xs: List[float], js: List[int]):
+    """[_direct(lengths[:j], None, x) for each x and j <= _DIRECT_MAX],
+    bit for bit, from one products and floors pass over all the heads.
+
+    np.add.reduceat sums each head's floors and limbs exactly, as _count
+    and _unit_fraction_sum do, and its fsum takes its tie fractions; a
+    head whose floors reach 2^53 is read again by _direct.
+    """
+    live = [i for i, j in enumerate(js) if j]
+    if len(live) < 2:
+        return [_direct(lengths[:j], None, x) if j else (0, 0.0, 0) for x, j in zip(xs, js)]
+    sizes = [js[i] for i in live]
+    starts = np.cumsum([0] + sizes[:-1])
+    fracs, floors, at, err_floors, ties = _products(
+        np.concatenate([lengths[:j] for j in sizes]), np.repeat([xs[i] for i in live], sizes))
+    counts = np.add.reduceat(floors, starts).tolist()
+    exact = [n < 2.0 ** 53 for n in counts]
+    fracs -= floors
+    fracs *= _LIMB
+    np.floor(fracs, out=floors)
+    fracs -= floors
+    limbs = (np.add.reduceat(np.stack((floors, fracs), axis=1), starts) / _LIMB).tolist()
+    for s, d, t in zip(np.searchsorted(starts, at, side="right").tolist(),
+                       err_floors.tolist(), ties.tolist()):
+        counts[s - 1] += d
+        limbs[s - 1].append(t)
+    heads = [(0, 0.0, 0)] * len(xs)
+    for s, i in enumerate(live):
+        heads[i] = ((int(counts[s]), math.fsum(limbs[s]), js[i]) if exact[s]
+                    else _direct(lengths[:js[i]], None, xs[i]))
+    return heads
+
+
+def _plan(string: FractalString, x: float, head: int):
+    """(K1, j1) of the hyperbola method (see the module docstring) for a
+    unit-weight head of ``head`` lengths at x: (0, head) for a direct head,
+    and j1 None where c_(K1+1) sets it."""
+    stored = string.count() is not None
+    if head <= (_DIRECT_MAX if stored else _SEED):
+        return 0, head
     K1 = int(head ** (2.0 / 3.0))
-    if string.count() is not None:
+    if stored:
         # every length is stored, and a count is one searchsorted
-        K1, cap = min(K1, int(x ** (1.0 / 3.0) / _COUNT_COST)), math.inf
-    else:
-        cap = int(x * string.head(_DIRECT_MAX + 1)[-1])
-        K1 = min(K1, int(x ** (1.0 / 3.0)))
-    if cap <= K1:
-        # no length past the stored prefix reaches cap + 1: split there
-        K1, j1 = cap, _DIRECT_MAX
-        c = _counts_reaching(string, x, np.arange(1.0, K1 + 1.0))
-    else:
-        c = _counts_reaching(string, x, np.arange(1.0, K1 + 2.0))
+        return min(K1, int(x ** (1.0 / 3.0) / _COUNT_COST)), None
+    if head <= _DIRECT_MAX:
+        cap = int(x * string.head(_SEED)[-1])
+        return (cap, _SEED) if cap <= K1 else (0, head)
+    cap, K1 = int(x * string.head(_DIRECT_MAX + 1)[-1]), min(K1, int(x ** (1.0 / 3.0)))
+    # where cap binds, no length past the stored prefix reaches cap + 1
+    return (cap, _DIRECT_MAX) if cap <= K1 else (K1, None)
+
+
+def _head(string: FractalString, x: float, j: int):
+    """The head of one x whose head holds j lengths, by ``_plan``."""
+    K1, j1 = _plan(string, x, j)
+    if j1 == j:
+        return _direct(string.head(j), None, x)
+    c = _counts_reaching(string, x, np.arange(1.0, K1 + 1.0 + (j1 is None)))
+    if j1 is None:
         j1, c = int(c[-1]), c[:-1]
     n, fracs, _ = _direct(string.head(j1), None, x)
     s = sum(np.maximum(c - j1, 0).tolist())
@@ -206,17 +254,37 @@ def _heads(string: FractalString, xs: List[float]):
     The head holds the lengths above eps, just below 1/x: every length
     whose exact product with x reaches 1.  A length left out has
     floor(l_j x) = 0 and {l_j x} = l_j x.  A run-length head is one
-    runs_above slice.  Unit-weight heads of up to _DIRECT_MAX lengths are
-    slices of the stored lengths after one J call, and a longer one takes
-    the hyperbola kernel.
+    runs_above slice.  A unit-weight grid takes one J call for its heads,
+    one for the counts c_k of every head that ``_plan`` splits, and one
+    direct pass over their direct parts of up to _DIRECT_MAX lengths; one
+    x takes ``_head``.
     """
     eps = [(1.0 / x) * _BELOW for x in xs]
     if not string.unit_weight:
         return [_direct(*string.runs_above(e), x) for e, x in zip(eps, xs)]
     js = string.J(eps).tolist()
-    lengths = string.head(min(max(js, default=0), _DIRECT_MAX + 1))
-    return [_hyperbola(string, x, j) if j > _DIRECT_MAX
-            else _direct(lengths[:j], None, x) for x, j in zip(xs, js)]
+    if len(xs) == 1:
+        # one x, as eigen_count and packing_defect read it: no grid bookkeeping
+        return [_head(string, xs[0], js[0])]
+    plans = [_plan(string, x, j) for x, j in zip(xs, js)]
+    if [j1 for _, j1 in plans] == js:
+        return _direct_pass(string.head(max(js, default=0)), xs, js)
+    sizes = [K1 + (j1 is None) for K1, j1 in plans]
+    c = _counts_reaching(string, np.repeat(xs, sizes),
+                         np.concatenate([np.arange(1.0, n + 1.0) for n in sizes]))
+    j1s, overs, at = [], [], 0
+    for (_, j1), n in zip(plans, sizes):
+        ck, at = c[at:at + n], at + n
+        if j1 is None:
+            j1, ck = int(ck[-1]), ck[:-1]
+        j1s.append(j1)
+        overs.append(sum(np.maximum(ck - j1, 0).tolist()) if n else 0)
+    short = [j if j <= _DIRECT_MAX else 0 for j in j1s]
+    heads = _direct_pass(string.head(max(short)), xs, short)
+    for i, (x, j1, s) in enumerate(zip(xs, j1s, overs)):
+        n, fracs, _ = heads[i] if j1 <= _DIRECT_MAX else _direct(string.head(j1), None, x)
+        heads[i] = n + s, math.fsum((fracs, -s)), j1
+    return heads
 
 
 # each live string's last x and its head: string -> (x, (N, head part, j))

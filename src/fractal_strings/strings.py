@@ -12,7 +12,8 @@ scalar.  Counts are exact Python ints, in object arrays, also past 2^63.
 
 An analytic string stores its first lengths, at most _PREFIX = 2^15 + 1
 (256 KiB), so that heads and counts inside them read one array instead of
-the profile, and its tails below index 511 keep their Euler-Maclaurin terms.
+the profile.  A profile starts them as its seed: l_1, ..., l_511 and the
+Euler-Maclaurin closure at 512 that its tails below index 512 share.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ def _exp_rule():
 _EXP_NODES, _EXP_WEIGHTS = _exp_rule()
 _EM_OFFSETS = np.arange(5.0)
 _EM_TOP = 512  # the Euler-Maclaurin closure point of every tail index below it
+_SEED = _EM_TOP - 1  # the lengths of an Euler-Maclaurin seed (see _em_seed)
 # spectral's direct heads of up to 2^15 lengths and the length past them
 _PREFIX = 2 ** 15 + 1
 # float(j) is exact below it, and J the exact count
@@ -137,7 +139,7 @@ def _panel_integral(fn: Callable, a: float, b: float = math.inf) -> float:
 
 
 def _em_tail_sum(fn: Callable, ms: Sequence[int], integral: Optional[Callable] = None,
-                 low: Optional[list] = None) -> np.ndarray:
+                 seed: Optional[tuple] = None) -> np.ndarray:
     """sum_{j > m} fn(j) for each m in ms, for a smooth, eventually
     power-decaying fn that takes float arrays.
 
@@ -147,32 +149,36 @@ def _em_tail_sum(fn: Callable, ms: Sequence[int], integral: Optional[Callable] =
     so that no point lies below M.  The direct terms and the five closure
     points of every m take one fn call.  ``integral(M, fn(M))`` gives the
     integrals for an array of M; without it, Gauss-Legendre panels
-    integrate fn.  ``low``, a list that the caller keeps for one fn and
-    integral, holds fn(1), ..., fn(511) and the closure at 512 that every m
-    below 512 shares, from the first such m on; the sums stay bit for bit.
+    integrate fn.  ``seed``, ``_em_seed`` of the same fn and integral,
+    holds the terms of every m below 512, which then calls no fn; the sums
+    stay bit for bit.
     """
     ms = np.array([int(m) for m in ms], dtype=object)
-    below = ms < _EM_TOP if low is not None else np.zeros(ms.size, dtype=bool)
+    below = ms < _EM_TOP if seed is not None else np.zeros(ms.size, dtype=bool)
     out = np.empty(ms.size)
     if not below.all():
         sums, (integrals, f_2, d1_12, d3_720), _ = _em_parts(fn, ms[~below], integral)
         out[~below] = sums + integrals + f_2 - d1_12 + d3_720
     if below.any():
-        if not low:
-            # m = 0: the five closure points at 512, then fn(1), ..., fn(511)
-            _, closure, values = _em_parts(fn, [0], integral)
-            low += [values[_EM_OFFSETS.size:].tolist(), closure]
-        terms, (integrals, f_2, d1_12, d3_720) = low
+        _, (integrals, f_2, d1_12, d3_720), terms = seed
         sums = np.array([math.fsum(terms[m:]) for m in ms[below].tolist()])
         out[below] = sums + integrals + f_2 - d1_12 + d3_720
     return out
 
 
+def _em_seed(fn: Callable, integral: Optional[Callable] = None) -> tuple:
+    """(fn(1), ..., fn(511) as a read-only array, the closure terms at
+    512, the same terms as a list): what every tail below index 512
+    shares, from one fn call."""
+    _, closure, terms = _em_parts(fn, [0], integral)
+    terms.flags.writeable = False
+    return terms, closure, terms.tolist()
+
+
 def _em_parts(fn: Callable, ms: Sequence[int], integral: Optional[Callable] = None):
     """The direct sums and the closure terms (integral, f/2, f'/12,
-    f'''/720) of ``_em_tail_sum`` without ``low``, each an array over ms,
-    and the fn values: the five closure points of every m, then the direct
-    terms."""
+    f'''/720) of ``_em_tail_sum`` without ``seed``, each an array over ms,
+    and the direct terms of every m in one array."""
     ms = [int(m) for m in ms]
     tops = [max(m + 1, _EM_TOP) for m in ms]
     M = np.array(tops, dtype=float)
@@ -189,7 +195,7 @@ def _em_parts(fn: Callable, ms: Sequence[int], integral: Optional[Callable] = No
         integrals = integral(M, f0)
     d1 = (-25 * f0 + 48 * f1 - 36 * f2 + 16 * f3 - 3 * f4) / (12 * step)
     d3 = (-5 * f0 + 18 * f1 - 24 * f2 + 14 * f3 - 3 * f4) / (2 * step ** 3)
-    return sums, (integrals, f0 / 2.0, d1 / 12.0, d3 / 720.0), values
+    return sums, (integrals, f0 / 2.0, d1 / 12.0, d3 / 720.0), values[points.size:]
 
 
 def _gauge_side_integral(gauge: GaugeFunction, Y: np.ndarray) -> np.ndarray:
@@ -243,6 +249,8 @@ class FractalString:
     # every length has weight 1; a string whose lengths carry multiplicities
     # has no ``head`` and gives its heads as runs_above blocks
     unit_weight = True
+    # (L, derived) of a string with l_j = L g(j) from j = ceil(valid_from) on
+    profile = None
 
     def length(self, j):
         raise NotImplementedError
@@ -394,21 +402,26 @@ class AnalyticString(FractalString):
     s = j >> 43, and otherwise gallops as below 2^53: the result lies within
     a relative 2^-43 of a crossing of the float profile.
 
-    The stored prefix l_1, ..., l_n (n <= _PREFIX) is read-only, filled on
-    first need and grown by one length_fn call when a head needs more, so a
-    length_fn value may not depend on the rest of its array.  ``head`` and
-    ``runs_above`` slice it, ``length`` gathers from it, and ``J`` counts
-    each eps at or above its last length by searchsorted: only the rest
-    take the tests above.
+    The stored prefix l_1, ..., l_n (n <= _PREFIX) is read-only and grown
+    by one length_fn call when a head needs more, so a length_fn value may
+    not depend on the rest of its array.  It starts as the seed, the
+    _SEED = 511 lengths and the closure at 512 of the Euler-Maclaurin tails
+    (see ``_em_seed``): taken here without tail_fn, or given by a tail_fn
+    that keeps the same one, else empty.  ``head`` and ``runs_above``
+    slice the prefix, ``length`` gathers from it, and ``J`` counts each eps
+    at or above its last length by searchsorted: only the rest take the
+    tests above.
     """
 
     def __init__(self, length_fn: Callable, inv_hint: Callable,
-                 tail_fn: Optional[Callable] = None):
+                 tail_fn: Optional[Callable] = None, seed: Optional[tuple] = None):
         self._fn = length_fn
         self._inv = inv_hint
         self._tail = tail_fn
-        # the stored prefix, its last length, and the tails' terms below 512
-        self._prefix, self._last, self._low = np.empty(0), math.inf, []
+        self._seed = _em_seed(length_fn) if tail_fn is None else seed
+        # the stored prefix and its last length
+        self._prefix = self._seed[0] if self._seed else np.empty(0)
+        self._last = self._prefix[-1] if self._prefix.size else math.inf
         # the tail beyond index 0, taken once: a profile tail is a quadrature
         self._total = float(self.tail_sum_beyond_index(0))
 
@@ -497,7 +510,7 @@ class AnalyticString(FractalString):
         _tail_indices(m)
         if self._tail is not None:
             return self._tail(m)
-        return _shaped(_em_tail_sum(self._fn, np.ravel(m), low=self._low), np.shape(m))
+        return _shaped(_em_tail_sum(self._fn, np.ravel(m), seed=self._seed), np.shape(m))
 
     def total_length(self) -> float:
         return self._total
@@ -541,43 +554,46 @@ def make_a_string(a: float) -> AnalyticString:
 
 def make_profile(L: float, derived: DerivedFunctions) -> AnalyticString:
     """String with l_j = L*g(j) from j0 = ceil(valid_from), clamped
-    constant at L*g(j0) before.
+    constant at L*g(j0) before; its ``profile`` is (L, derived).
 
     g decays with index -1/D < -1, so the string is summable; the finite
     prefix keeps the sequence non-increasing from j = 1.  Tail sums count
     the clamped prefix exactly and close the rest by Euler-Maclaurin from
-    M >= j0, with the integral taken on the gauge side.
+    M >= j0, with the integral taken on the gauge side.  For j0 <= 511 the
+    string and its tails share one seed, which holds the clamp.
     """
     if L <= 0:
         raise ValueError("L must be positive")
     j0 = max(1, int(math.ceil(derived.valid_from)))
-    try:
-        clamp = L * derived.g(float(j0))
-    except Exception as exc:
-        raise ConstructionError("profile start index unresolvable: %s" % exc)
 
     def length_fn(js):
         # g(j0) is elementwise the clamp: H_inv roots do not depend on
         # their neighbours in the array
         return L * derived.g(np.maximum(np.asarray(js, dtype=float), j0))
 
+    def integral(M, fM):
+        return L * _gauge_side_integral(derived.gauge, fM / L)
+
+    try:
+        seed = _em_seed(length_fn, integral) if j0 <= _SEED else None
+        clamp = float(seed[0][j0 - 1]) if seed else L * derived.g(float(j0))
+    except Exception as exc:
+        raise ConstructionError("profile start index unresolvable: %s" % exc)
+
     def inv_hint(eps):
         # l_j > eps  <=>  j < 1/H(eps/L); eps at or above the clamp gives 1
         y = np.minimum(eps, clamp) / L
         return np.where(eps >= clamp, 1.0, 1.0 / (y / derived.gauge.h(y)))
 
-    def integral(M, fM):
-        return L * _gauge_side_integral(derived.gauge, fM / L)
-
-    low = []  # the tail's kept terms below 512 (see _em_tail_sum)
-
     def tail_fn(m):
         ms = [int(k) for k in np.ravel(m)]
         prefix = np.array([max(j0 - 1 - k, 0) for k in ms], dtype=float) * clamp
-        tails = _em_tail_sum(length_fn, [max(k, j0 - 1) for k in ms], integral, low)
+        tails = _em_tail_sum(length_fn, [max(k, j0 - 1) for k in ms], integral, seed)
         return _shaped(prefix + tails, np.shape(m))
 
-    return AnalyticString(length_fn, inv_hint, tail_fn=tail_fn)
+    string = AnalyticString(length_fn, inv_hint, tail_fn=tail_fn, seed=seed)
+    string.profile = (L, derived)
+    return string
 
 
 # -- JSON wire format -------------------------------------------------------

@@ -58,6 +58,7 @@ _PRIVATE_IMPORTS = {
     ("gauge", "strings", "_shaped"): "one array-shape contract for every method",
     ("strings", "karamata", "_em_tail_sum"): "one Euler-Maclaurin tail",
     ("strings", "karamata", "_panel_integral"): "one Gauss-Legendre integrator",
+    ("strings", "spectral", "_SEED"): "heads split at the lengths every seed stores",
     ("spectral", "cli", "_positive"): "zeta's --L takes the check of lambda",
     ("spectral", "harness", "_lambdas"): "a config checks its lambda grid as the probe does",
 }

@@ -532,17 +532,30 @@ def test_scales_outside_the_string_are_left_out_of_the_S_samples():
 @pytest.mark.parametrize("name", ["profile_log_D0.3", "profile_log_D0.5",
                                   "profile_log_D0.7"])
 def test_log_profile_verify_evaluation_budget(monkeypatch, name):
-    # every profile length goes through H_inv: J tests a whole grid in one
-    # call and its gallops read one window, and a tail's integral needs no
-    # H_inv beyond its five closure points, so a verify run makes 8 to 10
-    # calls, and past the build none of one element
-    sizes, built = [], []
+    # every profile length goes through H_inv: the build evaluates the seed,
+    # J tests a whole grid in one call and its gallops read one window, a
+    # tail's integral needs no H_inv beyond its five closure points, heads
+    # split at the seed read their counts from one J call, and the j grid's
+    # lengths and g(j) share one solve where the string lends its derived
+    # functions: 5 to 7 calls, none of one element and none past the build
+    # of more than 1000, with at most 40 Newton steps (slowly_varying passes
+    # under H_inv) in all
+    sizes, built, depth, steps = [], [], [0], [0]
     h_inv = gauge.DerivedFunctions.H_inv
     build = ExperimentConfig.build
+    levels = gauge.GaugeFunction._levels
 
     def counted(self, z):
         sizes.append((np.size(z), bool(built)))
-        return h_inv(self, z)
+        depth[0] += 1
+        try:
+            return h_inv(self, z)
+        finally:
+            depth[0] -= 1
+
+    def stepped(self, u):
+        steps[0] += depth[0] > 0
+        return levels(self, u)
 
     def recorded(self):
         out = build(self)
@@ -550,10 +563,12 @@ def test_log_profile_verify_evaluation_budget(monkeypatch, name):
         return out
 
     monkeypatch.setattr(gauge.DerivedFunctions, "H_inv", counted)
+    monkeypatch.setattr(gauge.GaugeFunction, "_levels", stepped)
     monkeypatch.setattr(ExperimentConfig, "build", recorded)
     run_verify(bundled_examples()[name])
-    assert 0 < len(sizes) <= 10
-    assert (1, True) not in sizes
+    assert 0 < len(sizes) <= 7
+    assert all(size > 1 and (size <= 1000 or not past) for size, past in sizes)
+    assert 0 < steps[0] <= 40, steps[0]
 
 
 @pytest.mark.parametrize("name", ["profile_power_D0.3", "profile_log_D0.3",
@@ -584,3 +599,21 @@ def test_run_verify_takes_one_J_over_the_eps_grid(monkeypatch, name):
         monkeypatch.setattr(cls, "J", counted(cls.J))
     run_verify(cfg)
     assert sum(np.array_equal(eps, grid) for eps in calls) == 1
+
+
+def test_profile_config_takes_the_derived_functions_of_its_string():
+    # D == 1 - index holds bit for bit at D = 0.5 and 0.7, not at 0.3
+    # (1 - 0.7 = 0.30000000000000004); a truncated profile or another
+    # gauge keeps its own, and every build equals make_derived's
+    cases = [(bundled_examples()[name], shared) for name, shared in (
+        ("profile_log_D0.3", False), ("profile_power_D0.3", False),
+        ("profile_log_D0.5", True), ("profile_power_D0.5", True),
+        ("profile_log_D0.7", True), ("a_string_1", False))]
+    spec = bundled_examples()["profile_log_D0.5"].to_json()
+    for string in (dict(spec["string"], truncate=100),
+                   dict(spec["string"], gauge=dict(spec["gauge"], domain_upper=0.05))):
+        cases.append((ExperimentConfig.from_json(dict(spec, string=string)), False))
+    for config, shared in cases:
+        gauge_fn, derived, string = config.build()
+        assert (string.profile is not None and string.profile[1] is derived) == shared
+        assert derived == gauge.make_derived(gauge_fn, config.D)

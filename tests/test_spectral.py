@@ -335,19 +335,97 @@ def test_split_at_the_prefix_keeps_one_tail_until_the_string_goes(monkeypatch):
 
 def test_split_where_the_products_at_the_prefix_end_round_up_onto_K1():
     # l_(P-1) = l_P = l_(P+1) = c, and fl(x c) = 30 while the exact product
-    # stays below 30: K1 = 30, and c_30 = P - 2 counts no length past P
-    P = spectral._DIRECT_MAX
-    plateau = 1.0 / (P * P + 1.0)
+    # stays below 30: K1 = 30, and c_30 = P - 2 counts no length past P;
+    # the same at the seed's end, P = 511, alone and on a grid
+    for P in (spectral._DIRECT_MAX, strings._SEED):
+        plateau = 1.0 / (P * P + 1.0)
 
-    def length_fn(j):
-        j = np.asarray(j, dtype=float)
-        return np.where(np.abs(j - P) <= 1.0, plateau, 1.0 / j ** 2)
+        def length_fn(j, P=P, plateau=plateau):
+            j = np.asarray(j, dtype=float)
+            return np.where(np.abs(j - P) <= 1.0, plateau, 1.0 / j ** 2)
 
-    string = AnalyticString(length_fn, lambda eps: np.asarray(eps) ** -0.5)
-    x = 30.0 / plateau
-    assert x * plateau == 30.0 and not spectral._reaches(plateau, x, 30.0)
-    assert spectral._counts_reaching(string, x, np.array([30.0])).tolist() == [P - 2]
-    assert _head(string, x)[0] == _direct_head(string, x)[0]
+        string = AnalyticString(length_fn, lambda eps: np.asarray(eps) ** -0.5)
+        x = 30.0 / plateau
+        assert x * plateau == 30.0 and not spectral._reaches(plateau, x, 30.0)
+        assert spectral._counts_reaching(string, x, np.array([30.0])).tolist() == [P - 2]
+        n = _direct_head(string, x)[0]
+        assert [(h[0], h[2]) for h in spectral._heads(string, [x, x])] == [(n, P)] * 2
+        assert _head(string, x)[0] == n
+
+
+_SPLIT_CASES = {
+    # name: (string, lambda grid, whether a head splits at _SEED)
+    **{name: (lambda name=name: bundled_examples()[name].build()[2],
+              lambda name=name: bundled_examples()[name].lam_grid().tolist(), split)
+       for name, split in (("profile_power_D0.3", False), ("profile_log_D0.3", False),
+                           ("profile_power_D0.5", False), ("profile_log_D0.5", True),
+                           ("profile_power_D0.7", True), ("profile_log_D0.7", True))},
+    "sweep_profile": (_sweep_profile, lambda: np.geomspace(1e12, 1e19, 20).tolist(), True),
+    "a_string_1": (lambda: make_a_string(1.0), lambda: np.geomspace(1e12, 1e19, 20).tolist(),
+                   True),
+    # D = 0.3 split at _SEED (1e15) and at P (1e25, 1e28), where x tail(j1)
+    # is 6, 6 and 57 times delta
+    "profile_log_D0.3_deep": (lambda: bundled_examples()["profile_log_D0.3"].build()[2],
+                              lambda: [1e15, 1e25, 1e28], True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPLIT_CASES))
+def test_split_equals_the_direct_kernel(name):
+    # N is the direct kernel's, and delta within 1e-12; a split's delta
+    # carries x tail(j1) and S, and its error stays within 2^-47 of them
+    # (see the spectral docstring)
+    make, grid, splits = _SPLIT_CASES[name]
+    string, xs = make(), [_x(lam) for lam in grid()]
+    seed_splits = 0
+    for x, head in zip(xs, spectral._heads(string, xs)):
+        n, part, j = head
+        n_direct, part_direct, j_direct = _direct_head(string, x)
+        assert type(n) is int and n == n_direct, (name, x)
+        tail = string.tail_sum_beyond_index(j)
+        delta = part + x * tail
+        delta_direct = part_direct + x * string.tail_sum_beyond_index(j_direct)
+        assert delta == pytest.approx(delta_direct, rel=1e-12, abs=0.0), (name, x)
+        s = n - spectral._direct(string.head(j), None, x)[0]
+        assert abs(delta - delta_direct) <= 2.0 ** -47 * (x * tail + s + delta_direct)
+        # each x alone, as eigen_count reads it, takes the same kernel
+        assert _head(make(), x) == head
+        assert j in (j_direct, strings._SEED) or j_direct > spectral._DIRECT_MAX
+        seed_splits += j == strings._SEED < j_direct
+    assert (seed_splits > 0) == splits
+
+
+def test_split_counts_take_one_J_over_the_grid(monkeypatch):
+    # heads of 874, 5 842 and 10 405 lengths read the 511 of the seed and
+    # their counts from one J call: the profile evaluates the hint tests of
+    # the three eps below the seed and of the counts, and no head
+    string, sizes = _length_calls(bundled_examples()["profile_log_D0.7"].build()[2])
+    calls = []
+    counts_reaching = spectral._counts_reaching
+    monkeypatch.setattr(spectral, "_counts_reaching",
+                        lambda s, x, k: calls.append(k.size) or counts_reaching(s, x, k))
+    xs = [_x(lam) for lam in (1e7, 1e9, 4.2e9, 1e6)]
+    heads = spectral._heads(string, xs)
+    assert [j for _, _, j in heads] == [511, 511, 511, 325]
+    assert len(calls) == 1 and sizes == [3 * 3 + 1, 3 * calls[0] + 1]
+    assert string._prefix.size == strings._SEED
+
+
+@pytest.mark.parametrize("lams", [
+    [1e4, 1e8, 5.0, 1e12, 1e8],                 # an empty head and a repeat
+    [1e30, 1e34],                               # floors summing past 2^53
+    [(4.0 * math.pi) ** 2, 4e10, 1e16],         # products on integers
+])
+def test_direct_pass_is_direct_bit_for_bit(lams):
+    lengths = np.sort(np.concatenate((
+        [0.5, 0.25, 0.25, 1.0 / 3.0, 0.3, 2.0 ** -20],
+        np.random.default_rng(37).uniform(1e-9, 1.0, 3000))))[::-1]
+    xs = [_x(lam) for lam in lams]
+    js = [int(np.sum(lengths * x >= 1.0)) for x in xs]
+    expected = [spectral._direct(lengths[:j], None, x) for x, j in zip(xs, js)]
+    got = spectral._direct_pass(lengths, xs, js)
+    assert [(type(n), n, _bits(f), j) for n, f, j in got] == \
+        [(type(n), n, _bits(f), j) for n, f, j in expected]
 
 
 def test_long_heads_read_few_products_and_one_split_tail(monkeypatch):
@@ -382,7 +460,7 @@ def _length_calls(string, cap=math.inf):
         assert sizes[-1] <= cap
         return string._fn(js)
 
-    return AnalyticString(length_fn, string._inv, string._tail), sizes
+    return AnalyticString(length_fn, string._inv, string._tail, seed=string._seed), sizes
 
 
 def test_deep_lambda_takes_no_long_length_call():
@@ -523,11 +601,18 @@ def test_memo_reads_equal_reads_on_fresh_strings():
              ("cantor", "N", 2.6210350237577547e25), ("explicit", "delta", _x(5.0)),
              ("cantor", "delta", _x(2.6210350237577547e25)), ("cantor", "N", 1e12),
              ("cantor", "delta", _x(1e12)), ("cantor", "N", 2.6210350237577547e25)]
-    live = {name: make() for name, make in _SWEEP_STRINGS.items()}
+    # the log profile's heads: 325 lengths at 1e6, split at _SEED from 874
+    # at 1e7 to 14 712 at 1e10, and past _DIRECT_MAX from 1e11
+    calls += [("log", kind, arg) for lam in (1e9, 1e6, 1e11, 1e7, 1e6, 1e10, 1e9)
+              for kind, arg in (("N", lam), ("delta", _x(lam)))]
+    calls += [("log", "delta", _x(lam)) for lam in (4.2e9, 1e11, 1e6)]
+    makers = dict(_SWEEP_STRINGS,
+                  log=lambda: bundled_examples()["profile_log_D0.7"].build()[2])
+    live = {name: make() for name, make in makers.items()}
     read = {"N": eigen_count, "delta": packing_defect}
     for name, kind, arg in calls:
         got = read[kind](live[name], arg)
-        fresh = read[kind](_SWEEP_STRINGS[name](), arg)
+        fresh = read[kind](makers[name](), arg)
         assert _bits(got) == _bits(fresh), (name, kind, arg)
 
 
@@ -558,7 +643,9 @@ def test_memo_holds_no_entry_after_its_string_is_gone(monkeypatch):
 
 
 def test_second_term_probe_reads_one_head_and_one_tail(monkeypatch):
-    string, derived = make_a_string(1.0), make_derived(power_log(0.5), 0.5)
+    # one J for the heads, at most one for the counts of every head split at
+    # _SEED, and one tail: the a-string's head at 1e12 holds 564 lengths, and
+    # profile_log_D0.7's grid splits four heads
     calls = []
 
     def counted(name):
@@ -571,9 +658,15 @@ def test_second_term_probe_reads_one_head_and_one_tail(monkeypatch):
 
     for name in ("J", "tail_sum_beyond_index"):
         monkeypatch.setattr(strings.AnalyticString, name, counted(name))
-    records = second_term_probe(string, derived, np.geomspace(1e4, 1e12, 12))
-    assert len(records) == 12
-    assert sorted(calls) == ["J", "tail_sum_beyond_index"]
+    config = bundled_examples()["profile_log_D0.7"]
+    for (_, derived, string), lams in (
+            ((None, make_derived(power_log(0.5), 0.5), make_a_string(1.0)),
+             np.geomspace(1e4, 1e12, 12)),
+            (config.build(), config.lam_grid())):
+        del calls[:]
+        # lambda = 1e3 lies below the log gauge's valid_from
+        assert len(second_term_probe(string, derived, lams)) >= 11
+        assert calls == ["J", "J", "tail_sum_beyond_index"]
 
 
 @pytest.mark.parametrize("slice_length", [1, 7, 4096])

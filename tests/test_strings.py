@@ -12,8 +12,9 @@ from fractal_strings import (AnalyticString, ExplicitString, GaugeFunction,
                              make_a_string, make_cantor, make_interval, make_profile,
                              make_derived, power_log, string_from_json)
 from fractal_strings.errors import ConstructionError, NumericError
+from fractal_strings import gauge as gauge_module
 from fractal_strings.strings import (_EXP_NODES, _EXP_WEIGHTS, _PANEL_FACTOR, _PREFIX,
-                                     _compensated_suffix_sums, _em_tail_sum,
+                                     _SEED, _compensated_suffix_sums, _em_tail_sum,
                                      _gauge_side_integral, _panel_integral)
 
 
@@ -621,6 +622,40 @@ def test_stored_prefix_is_length_fn_bit_for_bit_and_capped(name):
     assert string._prefix.size == _PREFIX
     js = np.array([1.0, 2.5, 9.0, _PREFIX - 0.5, _PREFIX, _PREFIX + 1.0, 1e12])
     assert _bits(string.length(js)) == _bits(string._fn(js))
+
+
+_PROFILES = ["profile_%s_D%s" % (kind, D) for kind in ("power", "log")
+             for D in ("0.3", "0.5", "0.7")]
+
+
+@pytest.mark.parametrize("name, start", [(name, None) for name in _PROFILES] + [
+    ("profile_power_D0.5", 511.5), ("profile_power_D0.5", 1e4)])
+def test_profile_seed_is_length_fn_and_holds_the_clamp(monkeypatch, name, start):
+    # the bundled profiles (j0 <= 12), and one gauge started at j0 = 512
+    # and at 10^4: the string and its tails share the seed l_1 .. l_511
+    # where j0 <= 511, and l_(j0 - 1) .. l_1 repeat the clamp L g(j0)
+    gauge = bundled_examples()[name].build()[0]
+    if start is not None:
+        gauge = power_log(gauge.index, (), domain_upper=1.0 / start)
+    derived = make_derived(gauge, 1.0 - gauge.index)
+    j0 = max(1, math.ceil(derived.valid_from))
+    clamp = 2.0 * derived.g(float(j0))
+    calls = []
+    h_inv = gauge_module.DerivedFunctions.H_inv
+    monkeypatch.setattr(gauge_module.DerivedFunctions, "H_inv",
+                        lambda self, z: calls.append(np.size(z)) or h_inv(self, z))
+    string = make_profile(2.0, derived)
+    seeded = j0 <= _SEED
+    # a seeded build makes one solve: the seed and its five closure points
+    assert (calls == [_SEED + 5]) == seeded == (string._seed is not None)
+    assert string.profile == (2.0, derived)
+    if seeded:
+        assert string._prefix is string._seed[0] and not string._prefix.flags.writeable
+        assert _bits(string._prefix) == _bits(string._fn(np.arange(1.0, _SEED + 1.0)))
+    assert _bits(string.head(min(j0, _SEED))) == _bits([clamp] * min(j0, _SEED))
+    ms = [0, 1, j0 - 1, j0, 510, 511, 512, 700]
+    assert string.tail_sum_beyond_index(ms).tolist() == \
+        [string.tail_sum_beyond_index(m) for m in ms]
 
 
 def _recorded(length_fn):
