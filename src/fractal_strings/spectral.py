@@ -234,17 +234,27 @@ def _plan(string: FractalString, x: float, head: int):
     return (cap, _DIRECT_MAX) if cap <= K1 else (K1, None)
 
 
+def _over(c: np.ndarray, j1):
+    """(j1, S) of a head split by ``_plan``, from its counts c_1 .. c_K1,
+    with c_(K1+1) last where j1 is None and sets it."""
+    if j1 is None:
+        j1, c = int(c[-1]), c[:-1]
+    return j1, sum(np.maximum(c - j1, 0).tolist())
+
+
+def _joined(direct, j1: int, s: int):
+    """(N, head part of delta, j1) from the direct head of j1 lengths and S."""
+    n, fracs, _ = direct
+    return n + s, math.fsum((fracs, -s)), j1
+
+
 def _head(string: FractalString, x: float, j: int):
     """The head of one x whose head holds j lengths, by ``_plan``."""
     K1, j1 = _plan(string, x, j)
     if j1 == j:
         return _direct(string.head(j), None, x)
-    c = _counts_reaching(string, x, np.arange(1.0, K1 + 1.0 + (j1 is None)))
-    if j1 is None:
-        j1, c = int(c[-1]), c[:-1]
-    n, fracs, _ = _direct(string.head(j1), None, x)
-    s = sum(np.maximum(c - j1, 0).tolist())
-    return n + s, math.fsum((fracs, -s)), j1
+    j1, s = _over(_counts_reaching(string, x, np.arange(1.0, K1 + 1.0 + (j1 is None))), j1)
+    return _joined(_direct(string.head(j1), None, x), j1, s)
 
 
 def _heads(string: FractalString, xs: List[float]):
@@ -272,19 +282,12 @@ def _heads(string: FractalString, xs: List[float]):
     sizes = [K1 + (j1 is None) for K1, j1 in plans]
     c = _counts_reaching(string, np.repeat(xs, sizes),
                          np.concatenate([np.arange(1.0, n + 1.0) for n in sizes]))
-    j1s, overs, at = [], [], 0
-    for (_, j1), n in zip(plans, sizes):
-        ck, at = c[at:at + n], at + n
-        if j1 is None:
-            j1, ck = int(ck[-1]), ck[:-1]
-        j1s.append(j1)
-        overs.append(sum(np.maximum(ck - j1, 0).tolist()) if n else 0)
-    short = [j if j <= _DIRECT_MAX else 0 for j in j1s]
+    ends = np.cumsum(sizes).tolist()
+    splits = [_over(c[end - n:end], j1) for (_, j1), n, end in zip(plans, sizes, ends)]
+    short = [j1 if j1 <= _DIRECT_MAX else 0 for j1, _ in splits]
     heads = _direct_pass(string.head(max(short)), xs, short)
-    for i, (x, j1, s) in enumerate(zip(xs, j1s, overs)):
-        n, fracs, _ = heads[i] if j1 <= _DIRECT_MAX else _direct(string.head(j1), None, x)
-        heads[i] = n + s, math.fsum((fracs, -s)), j1
-    return heads
+    return [_joined(head if j1 <= _DIRECT_MAX else _direct(string.head(j1), None, x), j1, s)
+            for x, head, (j1, s) in zip(xs, heads, splits)]
 
 
 # each live string's last x and its head: string -> (x, (N, head part, j))

@@ -659,13 +659,15 @@ def test_second_term_probe_reads_one_head_and_one_tail(monkeypatch):
     for name in ("J", "tail_sum_beyond_index"):
         monkeypatch.setattr(strings.AnalyticString, name, counted(name))
     config = bundled_examples()["profile_log_D0.7"]
-    for (_, derived, string), lams in (
+    grid = config.lam_grid()
+    # every lambda of the a-string's grid is kept; lambda = grid[0] = 1e3
+    # lies below the log gauge's valid_from
+    for (_, derived, string), lams, kept in (
             ((None, make_derived(power_log(0.5), 0.5), make_a_string(1.0)),
-             np.geomspace(1e4, 1e12, 12)),
-            (config.build(), config.lam_grid())):
+             np.geomspace(1e4, 1e12, 12), 12),
+            (config.build(), grid, len(grid) - 1)):
         del calls[:]
-        # lambda = 1e3 lies below the log gauge's valid_from
-        assert len(second_term_probe(string, derived, lams)) >= 11
+        assert len(second_term_probe(string, derived, lams)) == kept
         assert calls == ["J", "J", "tail_sum_beyond_index"]
 
 
