@@ -100,7 +100,7 @@ def _products(vals: np.ndarray, x: float):
     """
     p = vals * x
     floors = np.floor(p)
-    at = np.flatnonzero(p == floors)
+    at = (p == floors).nonzero()[0]
     err = _product_error(vals[at], x[at] if np.ndim(x) else x) if at.size else _NO_TIES
     err_floors = np.floor(err) if at.size else _NO_TIES
     return p, floors, at, err_floors, err - err_floors
@@ -110,11 +110,11 @@ def _count(mult, floors, at, err_floors) -> int:
     """N = sum_j m_j floor(l_j x) as an exact int, err_floors correcting
     the ties."""
     if mult is None:
-        n = float(floors.sum())
+        n = float(np.add.reduce(floors))
         if n < 2.0 ** 53:
             # non-negative integer terms below 2^53: every partial sum is exact
-            return int(n + err_floors.sum()) if at.size else int(n)
-        return sum(map(int, floors.tolist())) + int(err_floors.sum())
+            return int(n + np.add.reduce(err_floors)) if at.size else int(n)
+        return sum(map(int, floors.tolist())) + int(np.add.reduce(err_floors))
     # Python-int multiplicities, at most depth blocks
     return (sum(m * int(f) for m, f in zip(mult.tolist(), floors.tolist()))
             + sum(m * int(d) for m, d in zip(mult[at].tolist(), err_floors.tolist())))
@@ -127,7 +127,7 @@ def _unit_fraction_sum(fracs, floors, ties) -> float:
     Every head product p that is not an integer exceeds 1 - 2^-49 > 1/2,
     so p - floor(p) is a multiple of 2^-53 in [0, 1).  Scaled by 2^27 it
     splits exactly into an integer limb below 2^27 and a multiple of 2^-26
-    below 1.  np.sum over up to 2^26 of either limb never rounds: the
+    below 1.  A sum over up to 2^26 of either limb never rounds: the
     totals stay below 2^53, and below 2^52 units of 2^-26.  One fsum over
     the limb totals and the tie fractions then equals fsum over all the
     fractions.
@@ -135,9 +135,10 @@ def _unit_fraction_sum(fracs, floors, ties) -> float:
     fracs *= _LIMB
     np.floor(fracs, out=floors)
     fracs -= floors
-    limbs = [float(np.sum(part[lo:lo + _SLICE])) / _LIMB
-             for part in (floors, fracs) for lo in range(0, fracs.size, _SLICE)]
-    return math.fsum(limbs + ties.tolist())
+    parts = (floors, fracs) if fracs.size <= _SLICE else [
+        part[lo:lo + _SLICE] for part in (floors, fracs) for lo in range(0, fracs.size, _SLICE)]
+    limbs = [float(np.add.reduce(part)) / _LIMB for part in parts]
+    return math.fsum(limbs + ties.tolist() if ties.size else limbs)
 
 
 def _direct(vals: np.ndarray, mult, x: float):
@@ -145,8 +146,8 @@ def _direct(vals: np.ndarray, mult, x: float):
     multiplicities mult (None for unit weights).
 
     A run-length head has Python-int multiplicities and at most ``depth``
-    blocks: it keeps the weighted fsum.  A unit-weight head sums its
-    fractions in exact limbs.
+    blocks: it keeps the weighted fsum, over Python floats.  A unit-weight
+    head sums its fractions in exact limbs.
     """
     fracs, floors, at, err_floors, ties = _products(vals, x)
     n = _count(mult, floors, at, err_floors)
@@ -154,7 +155,7 @@ def _direct(vals: np.ndarray, mult, x: float):
     if mult is None:
         return n, _unit_fraction_sum(fracs, floors, ties), fracs.size
     fracs[at] = ties
-    return n, math.fsum(np.asarray(mult, dtype=float) * fracs), int(mult.sum())
+    return n, math.fsum((mult.astype(float) * fracs).tolist()), sum(mult.tolist())
 
 
 def _reaches(lengths, x, k):

@@ -12,12 +12,13 @@ scalar.  Counts are exact Python ints, in object arrays, also past 2^63.
 
 An analytic string stores its first lengths, at most _PREFIX = 2^15 + 1
 (256 KiB), so that heads and counts inside them read one array instead of
-the profile.  A profile starts them as its seed: l_1, ..., l_511 and the
-Euler-Maclaurin closure at 512 that its tails below index 512 share.
+the profile.  A profile starts them as its seed, l_1, ..., l_511, and
+builds once the table of its tails below index 512: each is one lookup.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from typing import Callable, Optional, Sequence, Tuple
@@ -55,6 +56,15 @@ def _tail_indices(m) -> np.ndarray:
     if min(mm.tolist(), default=0) < 0:
         raise IndexError("tail index must be >= 0")
     return mm
+
+
+def _one_index(m) -> Optional[int]:
+    """m as a Python int if it is one integer, else None; IndexError if negative."""
+    if not isinstance(m, (int, np.integer)):
+        return None
+    if m < 0:
+        raise IndexError("tail index must be >= 0")
+    return int(m)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -138,8 +148,8 @@ def _panel_integral(fn: Callable, a: float, b: float = math.inf) -> float:
     raise NumericError("tail integral from %g did not converge by 1e300" % a)
 
 
-def _em_tail_sum(fn: Callable, ms: Sequence[int], integral: Optional[Callable] = None,
-                 seed: Optional[tuple] = None) -> np.ndarray:
+def _em_tail_sum(fn: Callable, ms: Sequence[int],
+                 integral: Optional[Callable] = None) -> np.ndarray:
     """sum_{j > m} fn(j) for each m in ms, for a smooth, eventually
     power-decaying fn that takes float arrays.
 
@@ -149,36 +159,26 @@ def _em_tail_sum(fn: Callable, ms: Sequence[int], integral: Optional[Callable] =
     so that no point lies below M.  The direct terms and the five closure
     points of every m take one fn call.  ``integral(M, fn(M))`` gives the
     integrals for an array of M; without it, Gauss-Legendre panels
-    integrate fn.  ``seed``, ``_em_seed`` of the same fn and integral,
-    holds the terms of every m below 512, which then calls no fn; the sums
-    stay bit for bit.
+    integrate fn.  A seeded string reads its tails below 512 from the
+    table of ``_em_seed`` and sends only the others here.
     """
-    ms = np.array([int(m) for m in ms], dtype=object)
-    below = ms < _EM_TOP if seed is not None else np.zeros(ms.size, dtype=bool)
-    out = np.empty(ms.size)
-    if not below.all():
-        sums, (integrals, f_2, d1_12, d3_720), _ = _em_parts(fn, ms[~below], integral)
-        out[~below] = sums + integrals + f_2 - d1_12 + d3_720
-    if below.any():
-        _, (integrals, f_2, d1_12, d3_720), terms = seed
-        sums = np.array([math.fsum(terms[m:]) for m in ms[below].tolist()])
-        out[below] = sums + integrals + f_2 - d1_12 + d3_720
-    return out
+    sums, (integrals, f_2, d1_12, d3_720), _ = _em_parts(fn, ms, integral)
+    return sums + integrals + f_2 - d1_12 + d3_720
 
 
 def _em_seed(fn: Callable, integral: Optional[Callable] = None) -> tuple:
-    """(fn(1), ..., fn(511) as a read-only array, the closure terms at
-    512, the same terms as a list): what every tail below index 512
-    shares, from one fn call."""
-    _, closure, terms = _em_parts(fn, [0], integral)
+    """(fn(1), ..., fn(511) as a read-only array, and the tails beyond m =
+    0, ..., 511) from one fn call: the compensated suffix sums of the terms
+    plus the closure at 512, added as ``_em_tail_sum`` adds them."""
+    _, (integrals, f_2, d1_12, d3_720), terms = _em_parts(fn, [0], integral)
     terms.flags.writeable = False
-    return terms, closure, terms.tolist()
+    return terms, _compensated_suffix_sums(terms) + integrals + f_2 - d1_12 + d3_720
 
 
 def _em_parts(fn: Callable, ms: Sequence[int], integral: Optional[Callable] = None):
     """The direct sums and the closure terms (integral, f/2, f'/12,
-    f'''/720) of ``_em_tail_sum`` without ``seed``, each an array over ms,
-    and the direct terms of every m in one array."""
+    f'''/720) of ``_em_tail_sum``, each an array over ms, and the direct
+    terms of every m in one array."""
     ms = [int(m) for m in ms]
     tops = [max(m + 1, _EM_TOP) for m in ms]
     M = np.array(tops, dtype=float)
@@ -321,6 +321,9 @@ class ExplicitString(FractalString):
         return self._vals[:_count_above(self._vals, eps)], None
 
     def tail_sum_beyond_index(self, m):
+        one = _one_index(m)
+        if one is not None:
+            return float(self._suffix[min(one, self._vals.size)])
         mm = np.minimum(_tail_indices(m), self._vals.size)
         return _shaped(self._suffix[mm.astype(np.int64)], np.shape(m))
 
@@ -366,6 +369,11 @@ class RunLengthString(FractalString):
         return self._vals[:b], self._mult[:b]
 
     def tail_sum_beyond_index(self, m):
+        one = _one_index(m)
+        if one is not None:
+            one = min(one, self._cum[-1])
+            b = bisect.bisect_left(self._cum, one)
+            return float(self._suffix[b] + float(self._cum[b] - one) * self._vals[b - 1])
         mm = np.minimum(_tail_indices(m), self._cum[-1])
         b = np.searchsorted(self._cum, mm, side="left")
         # add the part of block b-1 that lies beyond m
@@ -405,12 +413,13 @@ class AnalyticString(FractalString):
     The stored prefix l_1, ..., l_n (n <= _PREFIX) is read-only and grown
     by one length_fn call when a head needs more, so a length_fn value may
     not depend on the rest of its array.  It starts as the seed, the
-    _SEED = 511 lengths and the closure at 512 of the Euler-Maclaurin tails
-    (see ``_em_seed``): taken here without tail_fn, or given by a tail_fn
-    that keeps the same one, else empty.  ``head`` and ``runs_above``
+    _SEED = 511 lengths and the table of the tails below index 512 (see
+    ``_em_seed``): taken here without tail_fn, or given with a tail_fn
+    that keeps the same tails, else empty.  ``head`` and ``runs_above``
     slice the prefix, ``length`` gathers from it, and ``J`` counts each eps
     at or above its last length by searchsorted: only the rest take the
-    tests above.
+    tests above.  A tail below 512 reads the table, and the others go to
+    tail_fn, or to ``_em_tail_sum``, as one flat array.
     """
 
     def __init__(self, length_fn: Callable, inv_hint: Callable,
@@ -507,10 +516,19 @@ class AnalyticString(FractalString):
         return self.head(self.J(eps)), None
 
     def tail_sum_beyond_index(self, m):
-        _tail_indices(m)
-        if self._tail is not None:
+        one = _one_index(m)
+        if self._seed is None:
+            if one is None:
+                _tail_indices(m)
             return self._tail(m)
-        return _shaped(_em_tail_sum(self._fn, np.ravel(m), seed=self._seed), np.shape(m))
+        if one is not None and one < _EM_TOP:
+            return float(self._seed[1][one])
+        mm = _tail_indices(m)
+        out = self._seed[1][np.minimum(mm, _SEED).astype(np.intp)]
+        rest = mm >= _EM_TOP
+        if rest.any():
+            out[rest] = self._tail(mm[rest]) if self._tail else _em_tail_sum(self._fn, mm[rest])
+        return _shaped(out, np.shape(m))
 
     def total_length(self) -> float:
         return self._total
@@ -577,6 +595,8 @@ def make_profile(L: float, derived: DerivedFunctions) -> AnalyticString:
     try:
         seed = _em_seed(length_fn, integral) if j0 <= _SEED else None
         clamp = float(seed[0][j0 - 1]) if seed else L * derived.g(float(j0))
+        if seed:  # the tails below j0 - 1 take the clamp as one multiple, as tail_fn
+            seed[1][:j0 - 1] = np.arange(j0 - 1.0, 0.0, -1.0) * clamp + seed[1][j0 - 1]
     except Exception as exc:
         raise ConstructionError("profile start index unresolvable: %s" % exc)
 
@@ -588,7 +608,7 @@ def make_profile(L: float, derived: DerivedFunctions) -> AnalyticString:
     def tail_fn(m):
         ms = [int(k) for k in np.ravel(m)]
         prefix = np.array([max(j0 - 1 - k, 0) for k in ms], dtype=float) * clamp
-        tails = _em_tail_sum(length_fn, [max(k, j0 - 1) for k in ms], integral, seed)
+        tails = _em_tail_sum(length_fn, [max(k, j0 - 1) for k in ms], integral)
         return _shaped(prefix + tails, np.shape(m))
 
     string = AnalyticString(length_fn, inv_hint, tail_fn=tail_fn, seed=seed)

@@ -681,6 +681,24 @@ def test_limb_sums_in_slices_match_one_slice(monkeypatch, slice_length):
     _assert_head_sum_is_fsum_of_fractions(string, xs[1])
 
 
+@pytest.mark.parametrize("lengths, weights", [
+    ([], None), ([0.3], None), ([0.5, 0.3, 0.25, 0.123], None),
+    ([], []), ([0.3], [5]), ([0.5, 0.3, 0.25, 0.123], [1, 2 ** 70 + 1, 3, 7])],
+    ids=["empty", "one", "ties", "weighted-empty", "weighted-one", "weighted-ties"])
+def test_direct_kernel_on_empty_single_and_tied_heads(lengths, weights):
+    # x = 10: 0.5 x = 5 exactly and fl(0.3 x) = 3 lies above the exact
+    # product, two ties; 0.25 x and 0.123 x miss every integer.  A weighted
+    # head's fraction sum is the fsum of each multiplicity times its fraction
+    x = 10.0
+    ms = [1] * len(lengths) if weights is None else weights
+    n = sum(m * math.floor(Fraction(l) * Fraction(x)) for m, l in zip(ms, lengths))
+    fracs = math.fsum(float(m) * _fraction(l, x) for m, l in zip(ms, lengths))
+    mult = None if weights is None else np.array(weights, dtype=object)
+    got = spectral._direct(np.array(lengths, dtype=float), mult, x)
+    assert (_bits(got[0]), _bits(got[1]), _bits(got[2])) == \
+        (_bits(n), _bits(fracs), _bits(sum(ms)))
+
+
 def test_cantor_count_at_float_floor_fault():
     # fl(x/3) = 543206908579.0 rounds up onto an integer; the exact product
     # is 543206908578.99997

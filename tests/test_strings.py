@@ -13,6 +13,7 @@ from fractal_strings import (AnalyticString, ExplicitString, GaugeFunction,
                              make_derived, power_log, string_from_json)
 from fractal_strings.errors import ConstructionError, NumericError
 from fractal_strings import gauge as gauge_module
+from fractal_strings import strings as strings_module
 from fractal_strings.strings import (_EXP_NODES, _EXP_WEIGHTS, _PANEL_FACTOR, _PREFIX,
                                      _SEED, _compensated_suffix_sums, _em_tail_sum,
                                      _gauge_side_integral, _panel_integral)
@@ -128,8 +129,8 @@ def test_a_string_small_a_no_cancellation():
     make_profile(1.0, make_derived(power_log(0.5), 0.5)),
     make_a_string(1.0),
 ], ids=["explicit", "runlength", "profile", "a_string"])
-@pytest.mark.parametrize("m", [-1, np.array([0, -1], dtype=object)],
-                         ids=["scalar", "array"])
+@pytest.mark.parametrize("m", [-1, np.int64(-1), np.array([0, -1], dtype=object)],
+                         ids=["scalar", "int64", "array"])
 def test_negative_tail_index_is_an_index_error(string, m):
     # as length(j) for j < 1; the tails were 0, sums above the total, or a
     # ZeroDivisionError
@@ -669,8 +670,8 @@ def _recorded(length_fn):
 
 def test_tails_below_the_closure_point_keep_their_terms_bit_for_bit():
     # every tail equals one _em_tail_sum call over length_fn; below index
-    # 511 the direct terms and the closure at 512 are formed once, so a
-    # later one calls length_fn no more
+    # 512 the tails are read from the seed's table, so a later one calls
+    # length_fn no more
     ms = [0, 1, 17, 510, 511, 512, 513, 5000, 3, 600, 300]
     derived = make_derived(power_log(0.5), 0.5)
     profile = make_profile(1.0, derived)
@@ -685,6 +686,85 @@ def test_tails_below_the_closure_point_keep_their_terms_bit_for_bit():
     tails = s.tail_sum_beyond_index([5, 400])
     assert calls == []
     assert tails.tolist() == _em_tail_sum(fn, [5, 400]).tolist()
+
+
+def _sweep_profile():
+    return make_profile(1.0, make_derived(power_log(0.5), 0.5))
+
+
+def _seeded_profiles():
+    """The sweep profile l_j = j^-2 and every bundled profile, each a
+    pytest param: each has j0 <= 511, so its tails below 512 form a table."""
+    examples = bundled_examples()
+    return [pytest.param(_sweep_profile(), id="sweep")] + [
+        pytest.param(examples[name].build()[2], id=name) for name in _PROFILES]
+
+
+def _j0(string):
+    return max(1, math.ceil(string.profile[1].valid_from)) if string.profile else 1
+
+
+@pytest.mark.parametrize("string", [
+    pytest.param(make_a_string(1.0).truncate(1000), id="explicit"),
+    pytest.param(make_cantor(), id="cantor"), *_seeded_profiles()])
+def test_one_index_tail_is_its_array_element_bit_for_bit(string):
+    j0, count = _j0(string), string.count() or 0
+    ms = [0, 1, j0 - 1, j0, 510, 511, 512, 700, count, count + 1, 2 ** 70]
+    one = [string.tail_sum_beyond_index(m) for m in ms]
+    assert all(type(tail) is float for tail in one)
+    assert _bits(one) == _bits(string.tail_sum_beyond_index(ms))
+    small = [m for m in ms if m < 2 ** 63]
+    assert _bits([string.tail_sum_beyond_index(np.int64(m)) for m in small]) == \
+        _bits(string.tail_sum_beyond_index(np.array(small)))
+    assert _bits(string.total_length()) == _bits(string.tail_sum_beyond_index(0))
+
+
+@pytest.mark.parametrize("string", _seeded_profiles())
+def test_tail_table_is_the_euler_maclaurin_tail_bit_for_bit(string):
+    # the tails below 512 as make_profile's tail_fn forms them: the
+    # clamped lengths below j0 - 1 as one multiple of the clamp, and the
+    # Euler-Maclaurin tail, an fsum of its direct terms, from j0 - 1 on
+    L, derived = string.profile
+    j0, ms = _j0(string), np.arange(_SEED + 1)
+    expected = np.maximum(j0 - 1 - ms, 0) * string.length(1) + _em_tail_sum(
+        string._fn, np.maximum(ms, j0 - 1),
+        lambda M, fM: L * _gauge_side_integral(derived.gauge, fM / L))
+    assert _bits(string._seed[1]) == _bits(expected)
+
+
+def test_tails_below_512_read_the_table_and_send_on_only_the_rest(monkeypatch):
+    calls = []
+    em_tail_sum = strings_module._em_tail_sum
+    monkeypatch.setattr(strings_module, "_em_tail_sum", lambda fn, ms, *rest: calls.append(
+        ("em", [int(m) for m in ms])) or em_tail_sum(fn, ms, *rest))
+    profile = _sweep_profile()
+    string = AnalyticString(profile._fn, profile._inv, lambda m: calls.append(
+        ("tail_fn", list(m))) or profile._tail(m), seed=profile._seed)
+    bare = AnalyticString(profile._fn, profile._inv)
+    for s in (string, bare):
+        for m in (0, 11, 511, np.int64(300), [0, 11, 511], np.array([[3, 510]])):
+            s.tail_sum_beyond_index(m)
+    assert calls == []
+    rest = [600, 512, 2 ** 70]
+    for s in (string, bare):
+        s.tail_sum_beyond_index([600, 11, 512, 0, 2 ** 70])
+    assert calls == [("tail_fn", rest), ("em", rest), ("em", rest)]
+
+
+def test_one_index_tails_form_no_index_array(monkeypatch):
+    # stored strings at any index, and a profile below 512
+    calls = []
+    tail_indices = strings_module._tail_indices
+    monkeypatch.setattr(strings_module, "_tail_indices",
+                        lambda m: calls.append(m) or tail_indices(m))
+    strings = _stored_strings() + [_sweep_profile()]
+    for string in strings:
+        for m in (0, 7, np.int64(300), 511) + (() if string.profile else (2 ** 70,)):
+            string.tail_sum_beyond_index(m)
+    assert calls == []
+    for string in strings:
+        string.tail_sum_beyond_index([7])
+    assert len(calls) == len(strings)
 
 
 def _stored_strings():
